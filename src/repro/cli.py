@@ -19,7 +19,7 @@ Subcommands mirror how the paper's tool is used:
   lengths at unsafe call sites);
 * ``cache ACTION``   — manage the persistent artifact store
   (``stats`` / ``clear`` / ``gc``; ``stats --json`` dumps per-family
-  and per-shard counters machine-readably);
+  usage and counters machine-readably);
 * ``runs ACTION``    — inspect the crash-safe run journals every
   ``batch`` invocation writes (``list`` / ``show`` / ``gc``); ``batch
   --resume <run-id|latest>`` replays a crashed or interrupted run's
@@ -482,21 +482,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _cache_stats_payload(store) -> dict:
     """Machine-readable snapshot of the persistent store: per-family
-    usage and lifetime counters, per-shard breakdowns, and the
-    write-contention summary."""
+    usage and lifetime counters."""
     from .core.store import SCHEMA_VERSION
 
     return {
         "root": store.root,
         "schema_version": SCHEMA_VERSION,
         "fingerprint": store.fingerprint,
-        "shards": store.shards,
         "usage": store.usage(),
-        "shard_usage": store.shard_usage(),
         "counters": store.persisted_counters(),
-        "shard_counters": store.persisted_shard_counters(),
-        "contention": store.contention_summary(
-            store.persisted_shard_counters()),
         "stale_versions": store.stale_versions(),
     }
 
@@ -803,8 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="gc entries older than this many days")
     cache.add_argument("--json", action="store_true",
                        help="with 'stats': machine-readable JSON "
-                            "(per-family and per-shard counters, usage, "
-                            "write-contention summary)")
+                            "(per-family usage and counters)")
     cache.set_defaults(func=cmd_cache)
 
     runs = sub.add_parser(

@@ -16,7 +16,7 @@ fork pool (``jobs=N`` / ``REPRO_JOBS``).  Both produce byte-identical
 results — tasks are ordered by filename and the pool preserves input
 order — so a parallel run differs from a serial one only in wall clock.
 Dispatch is a *streaming work queue*: the pool pulls tasks from a lazy
-source no more than ``REPRO_STREAM_WINDOW`` files ahead of emission and
+source no more than :func:`stream_window` files ahead of emission and
 streams results back in input order as they complete, so the parent's
 working set is O(jobs + window), not O(batch).  :func:`apply_batch`
 collects the stream into a :class:`BatchResult`; :func:`stream_batch`
@@ -122,27 +122,22 @@ def task_retries() -> int:
 
 
 def stream_window(jobs: int) -> int:
-    """Dispatch-ahead bound for the streaming scheduler
-    (``REPRO_STREAM_WINDOW``): how many tasks may be pulled from the
-    task source but not yet emitted.  This is the parent's working-set
-    bound — task texts and out-of-order results are held for at most
-    ``window`` files — and the reorder budget that keeps emission
-    input-ordered while workers complete out of order.  The default
-    scales with the worker count so the pool never idles waiting for
-    the emission head.
+    """Dispatch-ahead bound for the streaming scheduler: how many tasks
+    may be pulled from the task source but not yet emitted.  This is
+    the parent's working-set bound — task texts and out-of-order
+    results are held for at most ``window`` files — and the reorder
+    budget that keeps emission input-ordered while workers complete out
+    of order.  It scales with the worker count so the pool never idles
+    waiting for the emission head.
     """
-    from .envknobs import int_knob
-    return int_knob("REPRO_STREAM_WINDOW", max(16, 4 * max(1, jobs)))
+    return max(16, 4 * max(1, jobs))
 
 
-def dedup_window() -> int:
-    """How many representative reports the streaming batch retains for
-    content deduplication (``REPRO_DEDUP_WINDOW``, default 4096).  A
-    duplicate file whose representative was already evicted is simply
-    recomputed — correctness never depends on the window, only the
-    dedup hit rate does."""
-    from .envknobs import int_knob
-    return int_knob("REPRO_DEDUP_WINDOW", 4096)
+#: How many representative reports the streaming batch retains for
+#: content deduplication.  A duplicate file whose representative was
+#: already evicted is simply recomputed — correctness never depends on
+#: the window, only the dedup hit rate does.
+DEDUP_WINDOW = 4096
 
 
 @dataclass
@@ -421,9 +416,6 @@ class SerialExecutor:
         self.supervision = _empty_supervision()
         self.max_inflight = 0
 
-    def map(self, tasks: list[FileTask]) -> list[FileTransformReport]:
-        return [transform_file(task) for task in tasks]
-
     def imap(self, tasks, *, window: int | None = None):
         """Stream ``(index, report)`` pairs in task order; the task
         source is consumed one task at a time, so parent memory never
@@ -539,24 +531,6 @@ class ProcessPoolExecutor:
         self.max_inflight = 0
         self._deaths_to_respawn = 0
 
-    def map(self, tasks: list[FileTask]) -> list[FileTransformReport]:
-        if self.jobs == 1 or len(tasks) <= 1:
-            serial = SerialExecutor()
-            reports = serial.map(tasks)
-            self.supervision = serial.supervision
-            return reports
-        ctx = self._fork_context()
-        if ctx is None:
-            serial = SerialExecutor()
-            reports = serial.map(tasks)
-            self.supervision = serial.supervision
-            return reports
-        # Unbounded window: map() holds every result anyway, so there
-        # is nothing to gain from capping dispatch-ahead (and the old
-        # eager-dispatch wall clock is preserved exactly).
-        return [report for _, report
-                in self._stream(ctx, iter(tasks), window=len(tasks))]
-
     def imap(self, tasks, *, window: int | None = None):
         """Stream ``(index, report)`` pairs back in task order as they
         complete, pulling from ``tasks`` (any iterable) no more than
@@ -566,10 +540,9 @@ class ProcessPoolExecutor:
         working set — unpicked task texts, out-of-order results waiting
         for the emission head, and the workers' in-flight tasks — is
         bounded by the window, so a 10k-file batch costs the parent the
-        same memory as a window-sized one.  Supervision (watchdog,
-        dead-worker respawn, bounded retry) is identical to
-        :meth:`map`; emission order is deterministic input order at any
-        worker count.
+        same memory as a window-sized one.  Emission order is
+        deterministic input order at any worker count, through every
+        watchdog kill, dead-worker respawn and retry.
         """
         if window is None:
             window = stream_window(self.jobs)
@@ -611,7 +584,7 @@ class ProcessPoolExecutor:
             self.inbox.put((index, task))
 
     def _stream(self, ctx, task_iter, *, window: int):
-        """The supervised streaming loop behind :meth:`map`/:meth:`imap`.
+        """The supervised streaming loop behind :meth:`imap`.
 
         ``held`` maps every pulled-but-unemitted index to its task (the
         retry source); ``ready`` holds completed reports waiting for the
@@ -1160,7 +1133,7 @@ class BatchStream:
         self.executor = make_executor(jobs)
         self.window = window if window is not None \
             else stream_window(self.executor.jobs)
-        self.dedup_cap = dedup_window() if dedup_cap is None else dedup_cap
+        self.dedup_cap = DEDUP_WINDOW if dedup_cap is None else dedup_cap
         self.memoize_preprocess = memoize_preprocess
         self.info = StreamInfo(jobs=self.executor.jobs,
                                window=self.window)
@@ -1362,8 +1335,8 @@ def stream_batch(program: SourceProgram, **kwargs) -> BatchStream:
     :class:`FileTransformReport` objects in filename order while the
     pool is still working on later files.  Accepts the same keyword
     arguments as :func:`apply_batch` plus ``window`` (dispatch-ahead
-    bound, default ``REPRO_STREAM_WINDOW``) and ``dedup_cap``
-    (representative-retention bound, default ``REPRO_DEDUP_WINDOW``)."""
+    bound, default :func:`stream_window`) and ``dedup_cap``
+    (representative-retention bound, default :data:`DEDUP_WINDOW`)."""
     return BatchStream(program, **kwargs)
 
 

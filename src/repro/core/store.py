@@ -12,14 +12,10 @@ ever sees the same content gets them for one ``open`` + ``unpickle``:
   version directory per (schema, tool fingerprint); inside it, one
   subdirectory per artifact family (``preprocess``, ``parse``, ``slr``,
   ``str``, ``validate``, ``execute``), *sharded* by key prefix into
-  ``REPRO_STORE_SHARDS`` subdirectories (``s000`` … ``sNNN``).  Sharding
-  spreads parallel workers — and future service replicas sharing one
-  artifact namespace — over N directories per family instead of
-  contending on one, and gives ``repro cache stats`` a per-shard view of
-  where writes land.  Entries published by older checkouts under the
-  pre-shard flat layout (``family/<key prefix>/key.pkl``) are still
-  found by read-through and migrated to their shard on first hit.  A
-  code change anywhere in the package changes the fingerprint
+  :data:`SHARDS` subdirectories (``s000`` … ``s015``) so parallel
+  workers spread their renames and directory scans over 16 directories
+  per family instead of contending on one.  A code change anywhere in
+  the package changes the fingerprint
   (:func:`repro.fingerprint.tool_fingerprint`), so entries computed by
   an older checkout are never consulted; ``repro cache gc`` reclaims
   them.
@@ -37,7 +33,6 @@ ever sees the same content gets them for one ``open`` + ``unpickle``:
 Environment knobs:
 
 * ``REPRO_CACHE_DIR``     — store location (default ``~/.cache/repro``);
-* ``REPRO_STORE_SHARDS``  — shard directories per family (default 16);
 * ``REPRO_DISK_CACHE=0``  — disable the disk layer only (memory LRUs
   stay on); the CLI's ``--no-disk-cache`` sets this;
 * ``REPRO_CACHE=0``       — disable *all* caching, disk included.
@@ -83,16 +78,13 @@ FAMILIES = ("preprocess", "parse", "slr", "str", "backend", "site",
 #: live writers hold a temp file for milliseconds.
 TMP_MAX_AGE_S = 300.0
 
-#: Default shard directories per family.  16 keeps directory entry
-#: counts (and rename contention domains) 16x smaller than one flat
-#: fan-in while staying negligible as directory overhead.
-DEFAULT_STORE_SHARDS = 16
+#: Shard directories per family.  16 keeps directory entry counts (and
+#: rename contention domains) 16x smaller than one flat fan-in while
+#: staying negligible as directory overhead.
+SHARDS = 16
 
-#: The counter fields every per-family / per-shard tally carries.
-#: ``migrated`` counts flat-layout entries rehomed to their shard by
-#: read-through.
-COUNTER_FIELDS = ("hits", "misses", "bytes_read", "bytes_written",
-                  "migrated")
+#: The counter fields every per-family tally carries.
+COUNTER_FIELDS = ("hits", "misses", "bytes_read", "bytes_written")
 
 
 def default_cache_dir() -> str:
@@ -102,12 +94,6 @@ def default_cache_dir() -> str:
     base = os.environ.get("XDG_CACHE_HOME") \
         or os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "repro")
-
-
-def store_shards() -> int:
-    """Shard count from ``REPRO_STORE_SHARDS`` (default 16, min 1)."""
-    from .envknobs import int_knob
-    return int_knob("REPRO_STORE_SHARDS", DEFAULT_STORE_SHARDS)
 
 
 def disk_enabled() -> bool:
@@ -131,20 +117,15 @@ class ArtifactStore:
     """
 
     def __init__(self, root: str | None = None, *,
-                 fingerprint: str | None = None,
-                 shards: int | None = None):
+                 fingerprint: str | None = None):
         self.root = os.path.abspath(root if root is not None
                                     else default_cache_dir())
         self.fingerprint = fingerprint if fingerprint is not None \
             else tool_fingerprint()
-        self.shards = max(1, shards if shards is not None
-                          else store_shards())
         self.version_dir = os.path.join(
             self.root, f"v{SCHEMA_VERSION}-{self.fingerprint}")
         #: Live per-family counters for *this* process.
         self.counters: dict[str, dict[str, int]] = {}
-        #: Live per-family, per-shard counters (family -> shard label).
-        self.shard_counters: dict[str, dict[str, dict[str, int]]] = {}
         self._counter_token = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
         self._flush_registered = False
         #: Operations that already warned (one warning per operation per
@@ -173,36 +154,20 @@ class ArtifactStore:
         """The shard directory a key lives in, from its prefix.
 
         CRC over the first 8 characters keeps the mapping cheap, stable
-        across processes and Python versions, and purely prefix-driven —
-        two replicas with the same shard count always agree on where an
-        entry belongs.
+        across processes and Python versions, and purely prefix-driven.
         """
         prefix = key[:8].encode("utf-8", errors="surrogateescape")
-        return f"s{zlib.crc32(prefix) % self.shards:03d}"
+        return f"s{zlib.crc32(prefix) % SHARDS:03d}"
 
     def _entry_path(self, family: str, key: str) -> str:
         return os.path.join(self.version_dir, family,
                             self.shard_label(key), key + ".pkl")
-
-    def _legacy_entry_path(self, family: str, key: str) -> str:
-        """Where the pre-shard flat layout kept this entry."""
-        return os.path.join(self.version_dir, family, key[:2],
-                            key + ".pkl")
 
     def _family_counter(self, family: str) -> dict[str, int]:
         counter = self.counters.get(family)
         if counter is None:
             counter = _empty_counter()
             self.counters[family] = counter
-        return counter
-
-    def _shard_counter(self, family: str, key: str) -> dict[str, int]:
-        shards = self.shard_counters.setdefault(family, {})
-        label = self.shard_label(key)
-        counter = shards.get(label)
-        if counter is None:
-            counter = _empty_counter()
-            shards[label] = counter
         return counter
 
     # ------------------------------------------------------------ access
@@ -213,77 +178,34 @@ class ArtifactStore:
         Anything unreadable — missing entry, truncated pickle, an entry
         whose class layout changed under a stale fingerprint override —
         is a miss; corrupt files are unlinked so they are rebuilt once.
-        A sharded-path miss falls through to the pre-shard flat layout,
-        and a flat hit is migrated to its shard so the next reader pays
-        one ``open``.
         """
         counter = self._family_counter(family)
-        shard = self._shard_counter(family, key)
         self._register_flush()
         path = self._entry_path(family, key)
-        legacy = False
-        data = None
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
         except FileNotFoundError:
-            data = None
+            counter["misses"] += 1
+            return False, None, 0
         except OSError as exc:
             self._warn_once("read", exc)
             counter["misses"] += 1
-            shard["misses"] += 1
             return False, None, 0
-        if data is None:
-            legacy_path = self._legacy_entry_path(family, key)
-            try:
-                with open(legacy_path, "rb") as handle:
-                    data = handle.read()
-                legacy = True
-            except FileNotFoundError:
-                counter["misses"] += 1
-                shard["misses"] += 1
-                return False, None, 0
-            except OSError as exc:
-                self._warn_once("read", exc)
-                counter["misses"] += 1
-                shard["misses"] += 1
-                return False, None, 0
         if faults.faults_enabled():
             data = faults.corrupt_entry(key, data)
         try:
             value = pickle.loads(data)
         except Exception:
             counter["misses"] += 1
-            shard["misses"] += 1
             try:
-                os.unlink(legacy_path if legacy else path)
+                os.unlink(path)
             except OSError:
                 pass
             return False, None, 0
-        if legacy:
-            self._migrate_legacy(family, key, path, data)
         counter["hits"] += 1
         counter["bytes_read"] += len(data)
-        shard["hits"] += 1
-        shard["bytes_read"] += len(data)
         return True, value, len(data)
-
-    def _migrate_legacy(self, family: str, key: str, path: str,
-                        data: bytes) -> None:
-        """Rehome a flat-layout entry under its shard (best-effort).
-
-        Publishing first and unlinking second keeps racing readers safe:
-        both paths hold a complete entry throughout, and a concurrent
-        migration losing the unlink race is a no-op (ENOENT tolerated).
-        """
-        if not self._publish(path, data):
-            return
-        try:
-            os.unlink(self._legacy_entry_path(family, key))
-        except OSError:
-            pass
-        self._family_counter(family)["migrated"] += 1
-        self._shard_counter(family, key)["migrated"] += 1
 
     def _publish(self, path: str, data: bytes) -> bool:
         """Atomically write ``data`` at ``path`` (tmp + rename)."""
@@ -325,7 +247,6 @@ class ArtifactStore:
         if not self._publish(self._entry_path(family, key), data):
             return 0
         self._family_counter(family)["bytes_written"] += len(data)
-        self._shard_counter(family, key)["bytes_written"] += len(data)
         self._register_flush()
         return len(data)
 
@@ -350,46 +271,6 @@ class ArtifactStore:
                         pass
             if entries:
                 out[family] = {"entries": entries, "bytes": nbytes}
-        return out
-
-    def shard_usage(self) -> dict[str, dict[str, dict[str, int]]]:
-        """Per-family, per-shard-directory ``{entries, bytes}``.
-
-        Legacy flat-layout prefix directories show up under their own
-        two-character names, so unmigrated residue is visible next to
-        the ``sNNN`` shards it will move into.
-        """
-        out: dict[str, dict[str, dict[str, int]]] = {}
-        for family in FAMILIES:
-            family_dir = os.path.join(self.version_dir, family)
-            try:
-                subdirs = sorted(os.listdir(family_dir))
-            except OSError:
-                continue
-            shards: dict[str, dict[str, int]] = {}
-            for sub in subdirs:
-                full = os.path.join(family_dir, sub)
-                if not os.path.isdir(full):
-                    continue
-                entries = 0
-                nbytes = 0
-                try:
-                    names = os.listdir(full)
-                except OSError:
-                    continue
-                for name in names:
-                    if not name.endswith(".pkl"):
-                        continue
-                    entries += 1
-                    try:
-                        nbytes += os.path.getsize(
-                            os.path.join(full, name))
-                    except OSError:
-                        pass
-                if entries:
-                    shards[sub] = {"entries": entries, "bytes": nbytes}
-            if shards:
-                out[family] = shards
         return out
 
     def stale_versions(self) -> list[str]:
@@ -518,22 +399,20 @@ class ArtifactStore:
         """Persist this process's lifetime hit/miss/bytes counters.
 
         Each process owns one uniquely named counter file and rewrites
-        it atomically with cumulative totals — per family and per shard
-        — so concurrent runs never contend on a shared counter file and
-        ``repro cache stats`` in a *later* process can still report what
-        warm runs achieved.
+        it atomically with cumulative per-family totals, so concurrent
+        runs never contend on a shared counter file and ``repro cache
+        stats`` in a *later* process can still report what warm runs
+        achieved.
         """
         if not any(any(c.values()) for c in self.counters.values()):
             return
         directory = os.path.join(self.version_dir, "counters")
         path = os.path.join(directory, self._counter_token + ".json")
         tmp = path + ".tmp"
-        payload = {"families": self.counters,
-                   "shards": self.shard_counters}
         try:
             os.makedirs(directory, exist_ok=True)
             with io.open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+                json.dump(self.counters, handle)
             os.replace(tmp, path)
         except OSError as exc:
             self._warn_once("counter-flush", exc)
@@ -561,7 +440,9 @@ class ArtifactStore:
                 continue
 
     @staticmethod
-    def _merge_counters(into: dict, families: dict) -> None:
+    def _merge_counters(into: dict, families) -> None:
+        if not isinstance(families, dict):
+            return
         for family, counter in families.items():
             if not isinstance(counter, dict):
                 continue
@@ -574,68 +455,12 @@ class ArtifactStore:
 
     def persisted_counters(self) -> dict[str, dict[str, int]]:
         """Lifetime per-family counters merged over every recorded
-        process, including this one's live (not yet flushed) numbers.
-
-        Counter files written before sharding (a plain family dict) are
-        merged the same as the current ``{"families": …, "shards": …}``
-        shape."""
+        process, including this one's live (not yet flushed) numbers."""
         merged: dict[str, dict[str, int]] = {}
         for payload in self._each_counter_file():
-            if not isinstance(payload, dict):
-                continue
-            families = payload.get("families", payload)
-            if isinstance(families, dict):
-                self._merge_counters(merged, families)
+            self._merge_counters(merged, payload)
         self._merge_counters(merged, self.counters)
         return merged
-
-    def persisted_shard_counters(self) \
-            -> dict[str, dict[str, dict[str, int]]]:
-        """Lifetime per-family, per-shard counters merged over every
-        recorded process plus this one's live numbers."""
-        merged: dict[str, dict[str, dict[str, int]]] = {}
-
-        def add(shards: dict) -> None:
-            if not isinstance(shards, dict):
-                return
-            for family, per_shard in shards.items():
-                if not isinstance(per_shard, dict):
-                    continue
-                self._merge_counters(
-                    merged.setdefault(family, {}), per_shard)
-
-        for payload in self._each_counter_file():
-            if isinstance(payload, dict):
-                add(payload.get("shards", {}))
-        add(self.shard_counters)
-        return merged
-
-    def contention_summary(self, shard_counters=None
-                           ) -> dict[str, dict[str, int]]:
-        """Per-family write-spread over shards, for bench reporting.
-
-        ``shards_used`` over ``shards`` is the contention signal: a
-        well-spread family keeps every parallel writer in its own
-        rename domain; ``max_shard_writes`` close to ``bytes_written``
-        means one shard is taking all the heat.  Defaults to this
-        process's live counters; pass ``persisted_shard_counters()``
-        for the lifetime view."""
-        if shard_counters is None:
-            shard_counters = self.shard_counters
-        out: dict[str, dict[str, int]] = {}
-        for family, per_shard in shard_counters.items():
-            writes = {label: c.get("bytes_written", 0)
-                      for label, c in per_shard.items()
-                      if c.get("bytes_written", 0)}
-            if not writes:
-                continue
-            out[family] = {
-                "shards": self.shards,
-                "shards_used": len(writes),
-                "bytes_written": sum(writes.values()),
-                "max_shard_bytes": max(writes.values()),
-            }
-        return out
 
 
 # ---------------------------------------------------------- default store

@@ -279,3 +279,29 @@ def write_corpus(mutants: list[SynthMutant], out_dir: str, seed: int, *,
     with open(path, "w") as fh:
         fh.write(manifest(mutants, seed, validated=validated))
     return path
+
+
+def pointer_stress_source(n_objects: int = 120, n_pointers: int = 240,
+                          cycle_every: int = 17) -> str:
+    """A synthetic unit stressing the points-to solver: copy chains of
+    ``n_pointers`` single-level pointers with a back-edge (cycle) every
+    ``cycle_every`` steps, plus double-pointer loads and stores.  Fully
+    deterministic — no randomness — so the fast and reference solvers
+    can be compared on it run to run."""
+    lines = [f"int o{i};" for i in range(n_objects)]
+    lines += [f"int *p{i};" for i in range(n_pointers)]
+    lines += [f"int **pp{i};" for i in range(n_pointers // 8)]
+    body = []
+    for i in range(n_pointers):
+        if i < n_objects:
+            body.append(f"p{i} = &o{i};")
+        if i > 0:
+            body.append(f"p{i} = p{i - 1};")
+        if i % cycle_every == 0 and i > cycle_every:
+            body.append(f"p{i - cycle_every} = p{i};")
+    for i in range(n_pointers // 8):
+        body.append(f"pp{i} = &p{i * 7 % n_pointers};")
+        body.append(f"*pp{i} = p{(i * 13 + 5) % n_pointers};")
+        body.append(f"p{(i * 11 + 3) % n_pointers} = *pp{i};")
+    return ("\n".join(lines) + "\nvoid stress(void) {\n"
+            + "\n".join("    " + stmt for stmt in body) + "\n}\n")

@@ -217,9 +217,8 @@ def generate_report(*, table3_scale: float = 1.0,
     for stats in all_cache_stats():
         w(f"| {stats.name} | {stats.hits} | {stats.misses} "
           f"| {stats.evictions} | {100.0 * stats.hit_rate:.1f}% |\n")
-    w("\nSee `BENCH_pipeline.json` for the measured throughput/speedup "
-      "of the sampled\nTable III benchmark (serial cold cache vs. "
-      "`--jobs 4` warm cache).\n")
+    w("\nPipeline throughput, cold and warm, is measured by "
+      "`python -m bench run`\n(see `bench/README.md`).\n")
     return out.getvalue()
 
 

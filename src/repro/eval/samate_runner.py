@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 from ..core import profile
 from ..core.backends import ArbitrationReport, arbitrate_file
-from ..core.batch import cached_slr, cached_str
+from ..core.batch import SourceProgram, cached_slr, cached_str
 from ..core.session import AnalysisSession, get_session
 from ..core.validate import ValidationReport, cached_run_source, \
     validate_pair
+from ..samate import generate_suite
 from ..samate.generator import TestProgram, differential_inputs
 
 
@@ -191,3 +192,14 @@ def stratified_sample(programs: list[TestProgram],
         return list(programs)
     step = len(programs) / limit
     return [programs[int(i * step)] for i in range(limit)]
+
+
+def sample_program(scale: float = 0.05, limit: int = 24) -> SourceProgram:
+    """A multi-file :class:`SourceProgram` built from a stratified SAMATE
+    sample — one .c file per generated test program."""
+    programs = [p for progs in generate_suite(scale).values()
+                for p in progs]
+    sample = stratified_sample(programs, limit)
+    return SourceProgram(
+        name=f"samate-sample-{len(sample)}",
+        files={p.name + ".c": p.source for p in sample})

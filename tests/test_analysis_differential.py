@@ -79,7 +79,7 @@ def test_examples_equivalent(path, monkeypatch):
 
 
 def _samate_sample(limit: int = 12):
-    from repro.eval.pipeline_bench import sample_program
+    from repro.eval.samate_runner import sample_program
     program = sample_program(0.05, limit)
     return sorted(program.files.items())
 
@@ -108,6 +108,6 @@ def test_corpus_equivalent(item, monkeypatch):
 
 
 def test_pointer_stress_equivalent(monkeypatch):
-    from repro.eval.analysis_bench import pointer_stress_source
+    from repro.corpus.synth import pointer_stress_source
     _assert_equivalent(pointer_stress_source(n_objects=24, n_pointers=48),
                        "stress.c", monkeypatch)

@@ -1,6 +1,7 @@
 """Tests for the command-line interfaces."""
 
 import io
+import json
 import sys
 
 import pytest
@@ -135,6 +136,20 @@ class TestCacheCommand:
         assert "preprocess" in out and "slr" in out
         assert "(total)" in out
         assert "misses=" in out             # live counters rendered
+
+    def test_stats_json_payload(self, fresh_store, batch_dir):
+        from repro.cfront.cache import clear_all_caches
+        assert run_cli(["batch", batch_dir])[0] == 0
+        # Empty the memory LRUs, as a second process would start.
+        clear_all_caches()
+        assert run_cli(["batch", batch_dir])[0] == 0
+        code, out, _ = run_cli(["cache", "stats", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert sorted(payload) == ["counters", "fingerprint", "root",
+                                   "schema_version", "stale_versions",
+                                   "usage"]
+        assert payload["counters"]["preprocess"]["hits"] > 0
 
     def test_clear_empties_store(self, fresh_store, batch_dir):
         run_cli(["batch", batch_dir])

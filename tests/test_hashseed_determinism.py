@@ -22,7 +22,7 @@ from repro.analysis.cfg import build_all_cfgs
 from repro.analysis.pointsto import PointsToAnalysis
 from repro.analysis.reaching import ReachingDefinitions
 from repro.cfront.parser import parse_translation_unit
-from repro.eval.analysis_bench import pointer_stress_source
+from repro.corpus.synth import pointer_stress_source
 
 src = pointer_stress_source(n_objects=10, n_pointers=20, cycle_every=7)
 unit = parse_translation_unit(src, "probe.c")

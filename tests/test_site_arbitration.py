@@ -467,15 +467,6 @@ class TestUnknownBackendErrors:
         assert err.value.code == 2
         assert "error: site arbitration requires" in captured.err
 
-    def test_pipeline_bench_unknown_backend(self, capsys):
-        from repro.eval.pipeline_bench import main
-        code = main(["--backends", "bogus", "--scale", "0.01",
-                     "--limit", "1", "--no-validate"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "error: unknown fix backend 'bogus'" in captured.err
-        assert "Traceback" not in captured.err
-
 
 # ------------------------- satellite: report round-trip and aggregation
 

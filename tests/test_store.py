@@ -155,78 +155,26 @@ class TestConcurrentWriters:
 
 
 class TestShardedLayout:
-    """PR 9: key-prefix sharding, flat-layout migration, per-shard
-    counters, and gc directory pruning."""
+    """Key-prefix sharding and gc directory pruning."""
 
     def test_entries_land_in_shard_directories(self, tmp_path):
-        store = ArtifactStore(str(tmp_path), fingerprint="t1", shards=8)
-        for i in range(20):
-            store.store("slr", f"key{i:02d}x", i)
+        store = ArtifactStore(str(tmp_path), fingerprint="t1")
+        for i in range(200):
+            store.store("slr", f"key{i:03d}x", i)
         family_dir = os.path.join(store.version_dir, "slr")
         subdirs = sorted(os.listdir(family_dir))
-        assert subdirs and all(s.startswith("s") and len(s) == 4
-                               for s in subdirs)
-        assert len(subdirs) > 1          # keys actually spread out
-        assert all(int(s[1:]) < 8 for s in subdirs)
+        assert subdirs == [f"s{n:03d}" for n in range(16)]
 
     def test_shard_label_is_stable_and_prefix_driven(self, tmp_path):
-        a = ArtifactStore(str(tmp_path), fingerprint="t1", shards=16)
-        b = ArtifactStore(str(tmp_path), fingerprint="t1", shards=16)
+        a = ArtifactStore(str(tmp_path), fingerprint="t1")
+        b = ArtifactStore(str(tmp_path), fingerprint="t1")
         key = "abcdef0123456789"
         assert a.shard_label(key) == b.shard_label(key)
         # Only the first 8 chars matter: same prefix, same shard.
         assert a.shard_label("abcdef01" + "zz" * 8) == a.shard_label(key)
 
-    def test_shards_knob_controls_fanout(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_SHARDS", "4")
-        store = ArtifactStore(str(tmp_path), fingerprint="t1")
-        assert store.shards == 4
-        labels = {store.shard_label(f"key-{i}") for i in range(100)}
-        assert labels <= {f"s{n:03d}" for n in range(4)}
-
-    def test_flat_layout_read_through_and_migration(self, tmp_path):
-        store = ArtifactStore(str(tmp_path), fingerprint="t1")
-        legacy = store._legacy_entry_path("slr", "abcd")
-        os.makedirs(os.path.dirname(legacy), exist_ok=True)
-        with open(legacy, "wb") as fh:
-            fh.write(pickle.dumps("old-value"))
-        hit, value, _ = store.load("slr", "abcd")
-        assert hit and value == "old-value"
-        # The entry now lives under its shard; the flat copy is gone.
-        assert os.path.exists(store._entry_path("slr", "abcd"))
-        assert not os.path.exists(legacy)
-        assert store.counters["slr"]["migrated"] == 1
-        # Second read is a plain sharded hit.
-        assert store.load("slr", "abcd") == (True, "old-value",
-                                             os.path.getsize(
-                                                 store._entry_path(
-                                                     "slr", "abcd")))
-        assert store.counters["slr"]["migrated"] == 1
-
-    def test_corrupt_legacy_entry_is_miss_and_unlinked(self, tmp_path):
-        store = ArtifactStore(str(tmp_path), fingerprint="t1")
-        legacy = store._legacy_entry_path("slr", "abcd")
-        os.makedirs(os.path.dirname(legacy), exist_ok=True)
-        with open(legacy, "wb") as fh:
-            fh.write(b"\x80\x05 definitely not a pickle")
-        hit, value, _ = store.load("slr", "abcd")
-        assert not hit and value is None
-        assert not os.path.exists(legacy)
-
-    def test_per_shard_counters_flush_and_merge(self, tmp_path):
-        writer = ArtifactStore(str(tmp_path), fingerprint="t1")
-        writer.store("slr", "abcd", "value")
-        writer.load("slr", "abcd")
-        writer.flush_counters()
-        later = ArtifactStore(str(tmp_path), fingerprint="t1")
-        shards = later.persisted_shard_counters()
-        label = later.shard_label("abcd")
-        assert shards["slr"][label]["hits"] == 1
-        assert shards["slr"][label]["bytes_written"] > 0
-
     def test_pre_shard_counter_files_still_merge(self, tmp_path):
-        # A counter file written by the pre-shard code (a bare family
-        # dict, no "families" wrapper) still counts.
+        # A counter file is a bare per-family dict.
         import json
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
         directory = os.path.join(store.version_dir, "counters")
@@ -237,25 +185,6 @@ class TestShardedLayout:
                       fh)
         merged = store.persisted_counters()
         assert merged["slr"]["hits"] == 7
-        assert merged["slr"]["migrated"] == 0
-
-    def test_shard_usage_reports_per_directory(self, tmp_path):
-        store = ArtifactStore(str(tmp_path), fingerprint="t1", shards=4)
-        store.store("slr", "aa11", "x")
-        store.store("slr", "bb22", "y")
-        usage = store.shard_usage()
-        total = sum(s["entries"] for s in usage["slr"].values())
-        assert total == 2
-
-    def test_contention_summary_counts_spread(self, tmp_path):
-        store = ArtifactStore(str(tmp_path), fingerprint="t1", shards=8)
-        for i in range(20):
-            store.store("slr", f"key{i:02d}x", i)
-        summary = store.contention_summary()
-        assert summary["slr"]["shards"] == 8
-        assert 1 <= summary["slr"]["shards_used"] <= 8
-        assert summary["slr"]["max_shard_bytes"] \
-            <= summary["slr"]["bytes_written"]
 
     def test_gc_prunes_empty_directories(self, tmp_path):
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
@@ -296,8 +225,7 @@ class TestShardedLayout:
             "import sys\n"
             "sys.path.insert(0, {src!r})\n"
             "from repro.core.store import ArtifactStore\n"
-            "store = ArtifactStore({root!r}, fingerprint='shard-race',\n"
-            "                      shards=8)\n"
+            "store = ArtifactStore({root!r}, fingerprint='shard-race')\n"
             "for i in range(40):\n"
             "    key = 'k%03d' % i\n"
             "    store.store('slr', key, ('value', i, {tag!r}))\n")
@@ -309,8 +237,7 @@ class TestShardedLayout:
             for tag in ("one", "two")]
         for proc in procs:
             assert proc.wait(timeout=120) == 0
-        store = ArtifactStore(str(tmp_path), fingerprint="shard-race",
-                              shards=8)
+        store = ArtifactStore(str(tmp_path), fingerprint="shard-race")
         for i in range(40):
             key = "k%03d" % i
             hit, value, _ = store.load("slr", key)
@@ -347,6 +274,9 @@ class TestCacheLayering:
         assert builds == [1]
         assert cache.stats.disk_hits == 1
         assert cache.stats.bytes_read > 0
+        # Every memory miss consulted the disk layer exactly once.
+        assert cache.stats.misses \
+            == cache.stats.disk_hits + cache.stats.disk_misses
 
     def test_repro_cache_0_bypasses_disk_entirely(self, fresh_store,
                                                   scratch_cache,

@@ -11,8 +11,8 @@ import weakref
 import pytest
 
 from repro.core.batch import (
-    BatchStream, ProcessPoolExecutor, SerialExecutor, SourceProgram,
-    apply_batch, dedup_window, stream_batch, stream_window,
+    DEDUP_WINDOW, BatchStream, ProcessPoolExecutor, SerialExecutor,
+    SourceProgram, apply_batch, stream_batch, stream_window, transform_file,
 )
 
 BROKEN_TMPL = """\
@@ -137,19 +137,13 @@ class TestStreamLaziness:
 
 
 class TestStreamSupervisionAndKnobs:
-    def test_stream_window_knob(self, monkeypatch):
+    def test_window_defaults(self):
+        assert stream_window(1) == 16
         assert stream_window(4) == 16
         assert stream_window(8) == 32
-        monkeypatch.setenv("REPRO_STREAM_WINDOW", "7")
-        assert stream_window(4) == 7
-        monkeypatch.setenv("REPRO_STREAM_WINDOW", "bogus")
-        with pytest.warns(RuntimeWarning):
-            assert stream_window(4) == 16
-
-    def test_dedup_window_knob(self, monkeypatch):
-        assert dedup_window() == 4096
-        monkeypatch.setenv("REPRO_DEDUP_WINDOW", "12")
-        assert dedup_window() == 12
+        assert DEDUP_WINDOW == 4096
+        stream = stream_batch(distinct_program(2), jobs=8)
+        assert (stream.window, stream.dedup_cap) == (32, DEDUP_WINDOW)
 
     def test_executor_imap_streams_in_order(self, fresh_store):
         from repro.core.batch import FileTask
@@ -170,10 +164,9 @@ class TestStreamSupervisionAndKnobs:
                           BROKEN_TMPL.format(tag=f"ser-{i}"),
                           validate=False)
                  for i in range(3)]
-        serial = SerialExecutor()
-        via_map = serial.map(tasks)
+        direct = [transform_file(task) for task in tasks]
         via_imap = [r for _, r in SerialExecutor().imap(iter(tasks))]
-        assert [report_shape(r) for r in via_map] \
+        assert [report_shape(r) for r in direct] \
             == [report_shape(r) for r in via_imap]
 
     def test_stream_survives_worker_death(self, fresh_store,
