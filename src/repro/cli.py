@@ -188,7 +188,19 @@ def _apply_supervision_flags(args: argparse.Namespace) -> None:
         os.environ["REPRO_TASK_RETRIES"] = str(args.task_retries)
 
 
-def _make_journal(args: argparse.Namespace, program):
+def _resolve_backends(args: argparse.Namespace):
+    """The backend ids to arbitrate: ``--backends``, else
+    ``REPRO_BACKENDS``; ``None`` runs the legacy SLR→STR chain.  The
+    environment knob is read here and nowhere below, so library callers
+    of ``apply_batch`` get exactly the work they ask for."""
+    from .core.backends import backends_from_env, resolve_backends
+
+    if args.backends is None:
+        return backends_from_env()
+    return resolve_backends(args.backends) if args.backends else None
+
+
+def _make_journal(args: argparse.Namespace, program, backends):
     """Build (or reopen, under ``--resume``) the run journal for a batch
     invocation; returns ``(journal, error message)``.  ``--no-run-log``
     (or ``REPRO_RUN_LOG=0``) runs unjournaled."""
@@ -216,7 +228,7 @@ def _make_journal(args: argparse.Namespace, program):
     journal.begin(program, {
         "run_slr": not args.no_slr, "run_str": not args.no_str,
         "profile": args.slr_profile, "validate": args.validate,
-        "backends": args.backends, "arbitration": args.arbitration,
+        "backends": ",".join(backends) if backends else None,
     })
     return journal, None
 
@@ -240,7 +252,12 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if program is None:
         print(error, file=sys.stderr)
         return 2
-    journal, error = _make_journal(args, program)
+    try:
+        backends = _resolve_backends(args)
+    except (ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    journal, error = _make_journal(args, program, backends)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -249,9 +266,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
                             run_str=not args.no_str,
                             profile=args.slr_profile,
                             jobs=args.jobs, validate=args.validate,
-                            backends=args.backends,
-                            arbitration=args.arbitration,
-                            journal=journal)
+                            backends=backends, journal=journal)
     except (SourceError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -331,15 +346,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if arbitrated:
         winners = batch.winners()
         fixed = sum(1 for winner in winners.values() if winner)
-        site_note = ""
-        if batch.site_winner_totals() or any(
-                a.mode == "site" for a in batch.arbitrations()):
-            sites_won = sum(batch.site_winner_totals().values())
-            site_note = (f", {batch.composites_shipped} composite(s) "
-                         f"over {sites_won} site(s)")
         print(f"arbitration: {fixed}/{len(winners)} file(s) fixed, "
               f"{batch.backends_attempted} candidate(s), "
-              f"{batch.backends_rejected} rejected{site_note}; "
+              f"{batch.backends_rejected} rejected; "
               f"all files parse: "
               f"{'yes' if batch.all_parse else 'NO'}; "
               f"files ok/degraded/failed"
@@ -385,8 +394,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                             profile=args.slr_profile,
                             jobs=args.jobs, validate=True,
                             fuzz_seed=args.seed,
-                            backends=args.backends,
-                            arbitration=args.arbitration)
+                            backends=_resolve_backends(args))
     except (SourceError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -416,8 +424,11 @@ def cmd_backends(args: argparse.Namespace) -> int:
         DEFAULT_BACKENDS, all_backends, backends_from_env,
     )
 
-    env_default = backends_from_env()
-    active = env_default if env_default is not None else None
+    try:
+        active = backends_from_env()
+    except (ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for backend in all_backends():
         marks = []
         if backend.id in DEFAULT_BACKENDS:
@@ -705,13 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "ship each file's oracle-best candidate "
                             "('all' = every registered backend; also "
                             "REPRO_BACKENDS; see 'repro backends')")
-    batch.add_argument("--arbitration", default=None,
-                       choices=("file", "site"),
-                       help="winner selection under --backends: 'file' "
-                            "ships one backend's whole-file fix "
-                            "(default), 'site' composes the oracle-best "
-                            "backend per call site and re-judges the "
-                            "composite (also REPRO_ARBITRATION)")
     batch.add_argument("--profile", action="store_true",
                        help="render the per-file, per-stage timing "
                             "breakdown (also REPRO_PROFILE=1)")
@@ -771,11 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="arbitrate these fix backends per file "
                                "('all' = every registered backend; "
                                "also REPRO_BACKENDS)")
-    validate.add_argument("--arbitration", default=None,
-                          choices=("file", "site"),
-                          help="winner selection under --backends: "
-                               "'file' (default) or per-'site' "
-                               "composition (also REPRO_ARBITRATION)")
     validate.set_defaults(func=cmd_validate)
 
     backends_cmd = sub.add_parser(

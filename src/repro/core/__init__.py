@@ -6,7 +6,7 @@
   stralloc safe-string type, rewriting all uses per Table II.
 * :func:`apply_batch` — batch both transformations over a whole program.
 * :mod:`repro.core.backends` — the pluggable fix-backend registry
-  (slr/str/tr24731/s3lib) and per-file oracle arbitration.
+  (slr/str/s3lib) and per-file oracle arbitration.
 """
 
 from .backends import (
@@ -24,8 +24,7 @@ from .bufferlen import BufferLength, BufferLengthAnalyzer, LengthFailure
 from .session import AnalysisSession, ParsedUnit, get_session, reset_session
 from .s3lib import S3_ALTERNATIVES, S3LibraryReplacement, apply_s3lib
 from .slr import (
-    SAFE_ALTERNATIVES, SafeLibraryReplacement, TR24731Replacement,
-    UNSAFE_FUNCTIONS, apply_slr, apply_tr24731,
+    SAFE_ALTERNATIVES, SafeLibraryReplacement, UNSAFE_FUNCTIONS, apply_slr,
 )
 from .stralloc import STRALLOC_DECLARATIONS, STRALLOC_FUNCTIONS
 from .strtransform import REPLACEMENT_PATTERNS, SafeTypeReplacement, apply_str
@@ -44,7 +43,6 @@ __all__ = [
     "backend_ids", "get_backend", "register_backend",
     "resolve_backends", "scoreboard", "unregister_backend",
     "S3_ALTERNATIVES", "S3LibraryReplacement", "apply_s3lib",
-    "TR24731Replacement", "apply_tr24731",
     "BatchResult", "BatchStats", "FileTask", "FileTransformReport",
     "ProcessPoolExecutor", "SerialExecutor", "SourceProgram",
     "apply_batch", "make_executor", "transform_file",

@@ -1,10 +1,10 @@
-"""Pluggable fix-backend registry and per-site best-fix arbitration.
+"""Pluggable fix-backend registry and per-file best-fix arbitration.
 
 The paper ships exactly two transformations (SLR, STR) and the pipeline
 used to hardwire that pair.  This module generalizes the spine: a
 :class:`FixBackend` is one registered way of producing a candidate fix
 for a translation unit, identified by a stable id that salts every
-content-addressed store key its artifacts are filed under.  Four
+content-addressed store key its artifacts are filed under.  Three
 backends register by default:
 
 ``slr``
@@ -12,13 +12,6 @@ backends register by default:
     §II-A, Table I).
 ``str``
     SAFE TYPE REPLACEMENT onto stralloc safe strings (paper §II-B).
-``tr24731``
-    ISO/IEC TR 24731-1 (C11 Annex K) ``_s``-family rewriting —
-    ``strcpy``/``strcat``/``sprintf``/``vsprintf``/``gets``/``memcpy``
-    become their bounds-checked ``_s`` analogs, and a runtime-constraint
-    handler is emitted and installed via ``set_constraint_handler_s`` so
-    rejected operations are reported (Laverdière-Papineau et al., "On
-    Implementation of a Safer C Library").
 ``s3lib``
     An S3Library-style *signature-preserving* safer library (Sun et
     al.): unsafe calls are renamed to ``s3_*`` wrappers with identical
@@ -54,18 +47,8 @@ from .validate import (
 
 #: Salt for candidate artifacts: bumped when the arbitration contract
 #: (scoring, statuses, candidate shape) changes in a way the tool
-#: fingerprint alone would not capture.  ``arb2``: per-site candidate
-#: keying + edit capture on cached results.
+#: fingerprint alone would not capture.
 ARBITRATION_VERSION = "arb2"
-
-#: How the winning fix for a file is assembled.  ``file`` is the PR 6
-#: whole-file winner-take-all; ``site`` composes the best backend per
-#: call site and re-judges the composite, degrading back to the
-#: whole-file winner whenever the composite is not strictly better.
-ARBITRATION_MODES = ("file", "site")
-
-#: Pseudo-backend id carried by a shipped per-site composite.
-COMPOSITE_BACKEND = "site-composite"
 
 #: The legacy pipeline's backend chain — ``apply_batch`` without a
 #: ``backends=`` request runs SLR then STR sequentially, exactly as
@@ -254,21 +237,6 @@ class STRBackend(FixBackend):
         return SafeTypeReplacement(text, filename, session=session)
 
 
-class TR24731Backend(FixBackend):
-    id = "tr24731"
-    title = "ISO/IEC TR 24731-1 _s family"
-    description = ("rewrite unsafe calls to strcpy_s-family "
-                   "bounds-checked functions and install a "
-                   "runtime-constraint handler in main")
-
-    def build(self, text, filename, session):
-        from .slr import TR24731Replacement
-        return TR24731Replacement(text, filename, session=session)
-
-    def config_key(self) -> str:
-        return "profile=c11+handler"
-
-
 class S3LibBackend(FixBackend):
     id = "s3lib"
     title = "S3Library signature-preserving safer library"
@@ -301,7 +269,7 @@ _REGISTRY: dict[str, FixBackend] = {}
 
 
 def register_backend(backend: FixBackend, *, replace: bool = False) -> None:
-    """Register ``backend`` under its id (tests register stubs; the four
+    """Register ``backend`` under its id (tests register stubs; the three
     standard backends are installed at import time)."""
     if not backend.id:
         raise ValueError("backend must carry a non-empty id")
@@ -362,28 +330,7 @@ def backends_from_env() -> tuple[str, ...] | None:
     return resolve_backends(raw) if raw else None
 
 
-def resolve_arbitration(value) -> str:
-    """Normalize an arbitration-mode request; ``None``/empty -> ``file``."""
-    if value is None:
-        return "file"
-    mode = str(value).strip().lower()
-    if not mode:
-        return "file"
-    if mode not in ARBITRATION_MODES:
-        raise ValueError(
-            f"unknown arbitration mode {mode!r}; choose from: "
-            f"{', '.join(ARBITRATION_MODES)}")
-    return mode
-
-
-def arbitration_from_env() -> str | None:
-    """The ``REPRO_ARBITRATION`` default (None when unset/empty)."""
-    raw = os.environ.get("REPRO_ARBITRATION", "").strip()
-    return resolve_arbitration(raw) if raw else None
-
-
-for _backend in (SLRBackend(), STRBackend(), TR24731Backend(),
-                 S3LibBackend()):
+for _backend in (SLRBackend(), STRBackend(), S3LibBackend()):
     register_backend(_backend)
 
 
@@ -411,34 +358,6 @@ def cached_backend_run(backend_id: str, text: str, filename: str,
     return _BACKEND_CACHE.get_or_build(
         backend_cache_key(backend, text),
         lambda: backend.run(text, filename, session))
-
-
-#: Single-site candidate texts, one per (backend, site, input text):
-#: the site's own edits plus the backend's finalize edits replayed
-#: against the pristine input.  Keys are salted with the site identity
-#: (function, line, target, occurrence) on top of the backend salt, so
-#: per-site candidates from different sites — or the whole-file
-#: candidate — can never collide in the store.
-_SITE_CACHE = ContentCache("site", family="site")
-
-
-def site_cache_key(backend: FixBackend, site: tuple, text: str) -> str:
-    function, line, target, occurrence = site
-    return content_key("site", ARBITRATION_VERSION, backend.id,
-                       backend.config_key(), function, str(line), target,
-                       str(occurrence), text)
-
-
-def _build_site_text(text: str, edits: tuple, finalize_edits: tuple) -> str:
-    """Replay one site's captured edits (plus the owning backend's
-    whole-file finalize edits) against the pristine input."""
-    from ..cfront.rewriter import Rewriter
-    rewriter = Rewriter(text)
-    for start, end, replacement in edits:
-        rewriter.replace_range(start, end, replacement)
-    for start, end, replacement in finalize_edits:
-        rewriter.replace_range(start, end, replacement)
-    return rewriter.apply()
 
 
 # ------------------------------------------------------------ arbitration
@@ -506,34 +425,6 @@ class BackendCandidate:
 
 
 @dataclass
-class SiteDecision:
-    """Per-site verdict of site-mode arbitration: which backend won one
-    call site of the composite, or why the site stayed unfixed."""
-
-    function: str
-    target: str
-    line: int
-    winner: str | None = None
-    composed: bool = False
-    reason: str = ""
-    overflows_prevented: int = 0
-    #: Backend ids that offered an eligible fix for this site, best first.
-    candidates: tuple[str, ...] = ()
-
-    @property
-    def site(self) -> str:
-        return f"{self.function}:{self.line}:{self.target}"
-
-    def as_dict(self) -> dict:
-        return {"site": self.site, "function": self.function,
-                "line": self.line, "target": self.target,
-                "winner": self.winner, "composed": self.composed,
-                "reason": self.reason,
-                "overflows_prevented": self.overflows_prevented,
-                "candidates": list(self.candidates)}
-
-
-@dataclass
 class ArbitrationReport:
     """Per-file outcome of the backend search: every candidate, the
     winner, and why the rest lost."""
@@ -542,14 +433,6 @@ class ArbitrationReport:
     backends: tuple[str, ...]
     candidates: list[BackendCandidate] = field(default_factory=list)
     winner: str | None = None
-    #: ``file`` (whole-file winner-take-all) or ``site`` (per-site
-    #: composition); site-mode-only fields stay out of :meth:`as_dict`
-    #: in file mode so the PR 6 JSON shape is unchanged.
-    mode: str = "file"
-    sites: list[SiteDecision] = field(default_factory=list)
-    #: Site mode only: ``shipped`` when the composite won, otherwise a
-    #: ``degraded: ...`` rung of the degradation ladder.
-    composite_status: str = ""
 
     @property
     def attempted(self) -> int:
@@ -574,24 +457,11 @@ class ArbitrationReport:
     def winning_candidate(self) -> BackendCandidate | None:
         return self.candidate_for(self.winner) if self.winner else None
 
-    def site_winner_counts(self) -> dict[str, int]:
-        """backend id -> number of sites it won in the composite."""
-        counts: dict[str, int] = {}
-        for decision in self.sites:
-            if decision.composed and decision.winner:
-                counts[decision.winner] = counts.get(decision.winner, 0) + 1
-        return counts
-
     def as_dict(self) -> dict:
-        out = {"filename": self.filename,
-               "backends": list(self.backends),
-               "winner": self.winner,
-               "candidates": [c.as_dict() for c in self.candidates]}
-        if self.mode != "file":
-            out["mode"] = self.mode
-            out["sites"] = [d.as_dict() for d in self.sites]
-            out["composite_status"] = self.composite_status
-        return out
+        return {"filename": self.filename,
+                "backends": list(self.backends),
+                "winner": self.winner,
+                "candidates": [c.as_dict() for c in self.candidates]}
 
 
 def candidate_score(candidate: BackendCandidate,
@@ -624,8 +494,7 @@ def arbitrate_file(text: str, filename: str,
                    backends: tuple[str, ...], *,
                    session: AnalysisSession | None = None,
                    fuzz_seed: int | None = None,
-                   diagnostics: list | None = None,
-                   arbitration: str = "file"
+                   diagnostics: list | None = None
                    ) -> tuple[str, bool, ValidationReport | None,
                               ArbitrationReport]:
     """Apply every backend in ``backends`` to ``text``, judge each
@@ -635,15 +504,6 @@ def arbitrate_file(text: str, filename: str,
     final text is the winning candidate's output, or the input verbatim
     when no valid candidate changed anything — arbitration can only
     ever improve a file, never degrade it.
-
-    ``arbitration="site"`` refines the selection from whole files to
-    call sites: each transformed site of each candidate is replayed in
-    isolation, judged, and the best backend per site is composed into
-    one file through a shared conflict-checked rewriter; the composite
-    is re-judged and ships only when it parses, has zero
-    ``semantics-changed`` divergences, and prevents strictly more
-    overflow probes than the best whole-file candidate — otherwise the
-    search degrades to exactly the ``file``-mode answer.
 
     Fault isolation matches the PR 5 contract: a backend that raises is
     contained as a ``CANDIDATE_ERROR`` (with a
@@ -656,10 +516,8 @@ def arbitrate_file(text: str, filename: str,
     from .diagnostics import diagnostic_from_exception
 
     session = session if session is not None else get_session()
-    arbitration = resolve_arbitration(arbitration)
     inputs = default_inputs(filename, seed=fuzz_seed)
-    report = ArbitrationReport(filename, tuple(backends),
-                               mode=arbitration)
+    report = ArbitrationReport(filename, tuple(backends))
     breakers_on = breaker_threshold() > 0
     for backend_id in backends:
         breaker = _breaker_for(backend_id) if breakers_on else None
@@ -739,211 +597,13 @@ def arbitrate_file(text: str, filename: str,
     eligible = [(index, candidate)
                 for index, candidate in enumerate(report.candidates)
                 if candidate.status == CANDIDATE_RUNNER_UP]
-    file_best = max(eligible,
-                    key=lambda pair: candidate_score(pair[1], pair[0]))[1] \
-        if eligible else None
-
-    if arbitration == "site":
-        composite = _compose_sites(text, filename, inputs, session,
-                                   report, file_best, diagnostics)
-        if composite is not None:
-            report.candidates.append(composite)
-            report.winner = composite.backend
-            return (composite.result.new_text, True,
-                    composite.validation, report)
-
-    if file_best is not None:
-        file_best.status = CANDIDATE_SELECTED
-        report.winner = file_best.backend
-        return (file_best.result.new_text, True, file_best.validation,
-                report)
-    return text, True, None, report
-
-
-@dataclass
-class _SiteFix:
-    """One backend's eligible single-site candidate during composition."""
-
-    backend: str
-    order_index: int
-    outcome: object                     # SiteOutcome
-    finalize_edits: tuple
-    text: str
-    validation: ValidationReport
-    score: tuple
-
-
-def _compose_sites(text: str, filename: str,
-                   inputs: list[DifferentialInput],
-                   session: AnalysisSession,
-                   report: ArbitrationReport,
-                   file_best: BackendCandidate | None,
-                   diagnostics: list | None) -> BackendCandidate | None:
-    """Site-mode phase 2: pick the best backend per call site, merge the
-    winning edits conflict-aware, re-judge the composite.
-
-    Returns the shipped composite candidate, or ``None`` after recording
-    the degradation rung in ``report.composite_status`` — the caller
-    then falls back to the PR 6 whole-file winner.
-    """
-    from . import faults, profile
-    from .diagnostics import diagnostic_from_exception
-    from ..cfront.rewriter import Rewriter, RewriteConflict
-    from .transform import sort_outcomes
-
-    # ---- per-site candidates: replay, parse-check, judge each in isolation
-    per_site: dict[tuple, list[_SiteFix]] = {}
-    for order_index, candidate in enumerate(report.candidates):
-        result = candidate.result
-        if result is None or not candidate.changed:
-            continue
-        backend = get_backend(candidate.backend)
-        occurrence: dict[tuple, int] = {}
-        for outcome in result.outcomes:
-            if not outcome.transformed or not outcome.edits:
-                continue
-            identity = (outcome.function, outcome.line, outcome.target)
-            occ = occurrence.get(identity, 0)
-            occurrence[identity] = occ + 1
-            site = identity + (occ,)
-            try:
-                site_text = _SITE_CACHE.get_or_build(
-                    site_cache_key(backend, site, text),
-                    lambda o=outcome: _build_site_text(
-                        text, o.edits, result.finalize_edits))
-                if site_text == text:
-                    continue
-                with profile.stage("verify"):
-                    if not session.check_parses(site_text, filename):
-                        continue
-                faults.check("validate", filename)
-                with profile.stage("validate"):
-                    validation = _judge(text, site_text, filename, inputs)
-            except Exception as exc:
-                if diagnostics is not None:
-                    diagnostics.append(diagnostic_from_exception(
-                        "site", filename, exc))
-                continue
-            if validation.semantics_changed:
-                continue
-            probe = BackendCandidate(
-                candidate.backend,
-                TransformResult(result.transformation, text, site_text,
-                                [outcome], backend=candidate.backend),
-                validation=validation)
-            per_site.setdefault(site, []).append(_SiteFix(
-                candidate.backend, order_index, outcome,
-                result.finalize_edits, site_text, validation,
-                candidate_score(probe, order_index)))
-
-    if not per_site:
-        report.composite_status = "degraded: no composable site"
-        return None
-
-    # ---- compose: best site first, per site best backend first; a
-    # conflicting edit set falls back to the site's next-ranked backend.
-    ranked_sites = sorted(
-        per_site.items(),
-        key=lambda item: (tuple(-part for part in
-                                max(fix.score for fix in item[1])),
-                          item[0]))
-    rewriter = Rewriter(text)
-    finalize_for: dict[str, tuple] = {}
-    won_outcomes = []
-    for site, fixes in ranked_sites:
-        fixes.sort(key=lambda fix: fix.score, reverse=True)
-        function, line, target, _occ = site
-        placed = None
-        for rank, fix in enumerate(fixes):
-            mark = rewriter.checkpoint()
-            try:
-                for start, end, replacement in fix.outcome.edits:
-                    rewriter.replace_range(start, end, replacement)
-            except (RewriteConflict, ValueError):
-                rewriter.rollback(mark)
-                continue
-            placed = (rank, fix)
-            break
-        offered = tuple(fix.backend for fix in fixes)
-        if placed is None:
-            report.sites.append(SiteDecision(
-                function, target, line, composed=False,
-                reason="every candidate conflicts with an "
-                       "already-composed site",
-                candidates=offered))
-            continue
-        rank, fix = placed
-        finalize_for.setdefault(fix.backend, fix.finalize_edits)
-        won_outcomes.append(fix.outcome)
-        report.sites.append(SiteDecision(
-            function, target, line, winner=fix.backend, composed=True,
-            reason="" if rank == 0 else
-                   f"fell back from {fixes[0].backend} on edit conflict",
-            overflows_prevented=fix.validation.overflows_prevented,
-            candidates=offered))
-
-    if not won_outcomes:
-        report.composite_status = "degraded: no site composed"
-        return None
-
-    for backend_id in report.backends:
-        edits = finalize_for.get(backend_id)
-        if not edits:
-            continue
-        mark = rewriter.checkpoint()
-        try:
-            for start, end, replacement in edits:
-                rewriter.replace_range(start, end, replacement)
-        except (RewriteConflict, ValueError):
-            rewriter.rollback(mark)
-            report.composite_status = (f"degraded: finalize edits of "
-                                       f"{backend_id} conflict")
-            return None
-    composite_text = rewriter.apply()
-
-    # ---- re-judge the composite; any rung failing degrades to file mode
-    with profile.stage("verify"):
-        if not session.check_parses(composite_text, filename):
-            report.composite_status = "degraded: composite does not parse"
-            return None
-    try:
-        faults.check("validate", filename)
-        with profile.stage("validate"):
-            validation = _judge(text, composite_text, filename, inputs)
-    except Exception as exc:
-        if diagnostics is not None:
-            diagnostics.append(diagnostic_from_exception(
-                "validate", filename, exc))
-        report.composite_status = (f"degraded: composite judge failed: "
-                                   f"{type(exc).__name__}")
-        return None
-    if validation.semantics_changed:
-        report.composite_status = (
-            f"degraded: composite has {validation.semantics_changed} "
-            f"semantics-changed divergence(s)")
-        return None
-    file_prevented = file_best.overflows_prevented \
-        if file_best is not None else 0
-    if file_best is not None and \
-            validation.overflows_prevented <= file_prevented:
-        report.composite_status = (
-            f"degraded: composite prevents "
-            f"{validation.overflows_prevented} overflow probe(s), "
-            f"whole-file winner {file_best.backend} prevents "
-            f"{file_prevented}")
-        return None
-
-    report.composite_status = "shipped"
-    summary = " ".join(f"{backend}:{count}" for backend, count in
-                       sorted(report.site_winner_counts().items()))
-    return BackendCandidate(
-        COMPOSITE_BACKEND,
-        TransformResult("COMPOSITE", text, composite_text,
-                        sort_outcomes(list(won_outcomes)),
-                        backend=COMPOSITE_BACKEND),
-        parses=True, validation=validation,
-        status=CANDIDATE_SELECTED,
-        reason=f"composed {summary}")
+    if not eligible:
+        return text, True, None, report
+    best = max(eligible,
+               key=lambda pair: candidate_score(pair[1], pair[0]))[1]
+    best.status = CANDIDATE_SELECTED
+    report.winner = best.backend
+    return best.result.new_text, True, best.validation, report
 
 
 def scoreboard(reports: list[ArbitrationReport]
@@ -954,28 +614,17 @@ def scoreboard(reports: list[ArbitrationReport]
     won, ``rejected`` candidates the judge disqualified,
     ``overflow_prevented`` the total prevented-overflow probe verdicts
     across its (judged) candidates, and ``breaker_skips`` files the
-    backend's open circuit breaker sat out (those are *not* attempts).  When any report ran in site mode,
-    every row additionally carries ``sites_won`` — composite call sites
-    the backend contributed — so the per-site winner breakdown survives
-    aggregation (file-mode boards keep the PR 6 shape exactly).
+    backend's open circuit breaker sat out (those are *not* attempts).
     """
-    site_mode = any(report.mode == "site" for report in reports)
     board: dict[str, dict[str, int]] = {}
-
-    def row_for(backend: str) -> dict[str, int]:
-        row = board.setdefault(backend, {
-            "attempted": 0, "changed": 0, "selected": 0,
-            "runner_up": 0, "rejected": 0, "no_change": 0,
-            "not_applicable": 0, "errors": 0, "breaker_skips": 0,
-            "overflow_prevented": 0, "sites_transformed": 0,
-        })
-        if site_mode:
-            row.setdefault("sites_won", 0)
-        return row
-
     for report in reports:
         for candidate in report.candidates:
-            row = row_for(candidate.backend)
+            row = board.setdefault(candidate.backend, {
+                "attempted": 0, "changed": 0, "selected": 0,
+                "runner_up": 0, "rejected": 0, "no_change": 0,
+                "not_applicable": 0, "errors": 0, "breaker_skips": 0,
+                "overflow_prevented": 0, "sites_transformed": 0,
+            })
             if candidate.status == CANDIDATE_SKIPPED:
                 row["breaker_skips"] += 1
                 continue            # never ran: not an attempt
@@ -990,7 +639,4 @@ def scoreboard(reports: list[ArbitrationReport]
                    CANDIDATE_NOT_APPLICABLE: "not_applicable",
                    CANDIDATE_ERROR: "errors"}[candidate.status]
             row[key] += 1
-        for backend, count in report.site_winner_counts().items():
-            if report.winner == COMPOSITE_BACKEND:
-                row_for(backend)["sites_won"] += count
     return board

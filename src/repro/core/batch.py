@@ -21,7 +21,7 @@ streams results back in input order as they complete, so the parent's
 working set is O(jobs + window), not O(batch).  :func:`apply_batch`
 collects the stream into a :class:`BatchResult`; :func:`stream_batch`
 exposes it directly for batch sizes where retaining every report is the
-bottleneck (the 10k-file bench legs run this way).
+bottleneck.
 
 The whole pipeline is *fault-isolated*: every stage (preprocess, parse,
 SLR, STR, verify, validate) runs inside a guard that converts an
@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import os
 import pickle
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from ..cfront.cache import CacheStats, ContentCache, content_key, \
@@ -57,12 +57,11 @@ from .diagnostics import (
     STATUS_OK, STATUS_QUARANTINED, FileDiagnostic,
     diagnostic_from_exception, status_of, supervisor_diagnostic,
 )
-from .backends import (  # noqa: F401 (re-exported arbitration helpers)
-    ARBITRATION_VERSION, CANDIDATE_ERROR, COMPOSITE_BACKEND,
-    ArbitrationReport, arbitrate_file, arbitration_from_env,
-    backends_from_env, reset_breakers, resolve_arbitration,
-    resolve_backends, scoreboard,
+from .backends import (
+    ARBITRATION_VERSION, CANDIDATE_ERROR, ArbitrationReport,
+    arbitrate_file, reset_breakers, resolve_backends, scoreboard,
 )
+from .envknobs import float_knob, int_knob
 from .session import AnalysisSession, get_session
 from .slr import SafeLibraryReplacement
 from .strtransform import SafeTypeReplacement
@@ -78,47 +77,25 @@ def default_jobs() -> int:
     answer at the machine's CPU count — more fork workers than cores
     only adds memory pressure and scheduler churn.
     """
-    raw = os.environ.get("REPRO_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        warnings.warn(f"ignoring non-integer REPRO_JOBS={raw!r}; "
-                      f"running with 1 worker", RuntimeWarning,
-                      stacklevel=2)
-        return 1
-    if jobs <= 0:
-        warnings.warn(f"ignoring REPRO_JOBS={jobs} (must be >= 1); "
-                      f"running with 1 worker", RuntimeWarning,
-                      stacklevel=2)
-        return 1
+    jobs = int_knob("REPRO_JOBS", 1, fallback_note="running with 1 worker")
     return min(jobs, os.cpu_count() or 1)
 
 
 def task_timeout() -> float | None:
     """Per-task wall-clock budget for supervised pool workers
-    (``REPRO_TASK_TIMEOUT`` seconds; unset/0 disables the watchdog)."""
-    raw = os.environ.get("REPRO_TASK_TIMEOUT", "")
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        warnings.warn(f"ignoring non-numeric REPRO_TASK_TIMEOUT={raw!r}",
-                      RuntimeWarning, stacklevel=2)
-        return None
+    (``REPRO_TASK_TIMEOUT`` seconds; unset or <= 0 disables the
+    watchdog)."""
+    value = float_knob("REPRO_TASK_TIMEOUT", 0.0, minimum=-math.inf,
+                       fallback_note="watchdog disabled")
     return value if value > 0 else None
 
 
 def task_retries() -> int:
     """How many times a crashed/timed-out task is retried before it is
-    recorded as failed (``REPRO_TASK_RETRIES``, default 1)."""
-    raw = os.environ.get("REPRO_TASK_RETRIES", "1")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        warnings.warn(f"ignoring non-integer REPRO_TASK_RETRIES={raw!r}; "
-                      f"using 1", RuntimeWarning, stacklevel=2)
-        return 1
+    recorded as failed (``REPRO_TASK_RETRIES``, default 1; negative
+    values mean no retries)."""
+    return max(0, int_knob("REPRO_TASK_RETRIES", 1, minimum=None,
+                           fallback_note="using 1"))
 
 
 def stream_window(jobs: int) -> int:
@@ -210,9 +187,6 @@ class FileTask:
     #: replaced by :func:`repro.core.backends.arbitrate_file` over this
     #: backend id tuple (the oracle always judges in this mode).
     backends: tuple[str, ...] | None = None
-    #: Arbitration mode: ``file`` (whole-file winner, PR 6 behaviour) or
-    #: ``site`` (per-site composition); only meaningful with ``backends``.
-    arbitration: str = "file"
 
 
 @dataclass
@@ -307,8 +281,7 @@ def transform_file(task: FileTask,
                 text, parses, validation, arbitration = arbitrate_file(
                     task.text, task.filename, task.backends,
                     session=session, fuzz_seed=task.fuzz_seed,
-                    diagnostics=diagnostics,
-                    arbitration=task.arbitration)
+                    diagnostics=diagnostics)
             else:
                 slr_result, str_result, text, parses, validation = \
                     _run_stages(task, session, diagnostics)
@@ -952,22 +925,6 @@ class BatchResult:
     def backends_rejected(self) -> int:
         return sum(a.rejected for a in self.arbitrations())
 
-    def site_winner_totals(self) -> dict[str, int]:
-        """backend id -> composite sites won, over every shipped
-        site-mode composite (empty outside site mode)."""
-        totals: dict[str, int] = {}
-        for arb in self.arbitrations():
-            if arb.winner == COMPOSITE_BACKEND:
-                for backend, count in arb.site_winner_counts().items():
-                    totals[backend] = totals.get(backend, 0) + count
-        return totals
-
-    @property
-    def composites_shipped(self) -> int:
-        """Files whose site-mode composite won the arbitration."""
-        return sum(1 for a in self.arbitrations()
-                   if a.winner == COMPOSITE_BACKEND)
-
     # ------------------------------------------------ validation rollups
 
     def validations(self) -> list[ValidationReport]:
@@ -996,12 +953,11 @@ def _task_work_key(task: FileTask) -> str:
     parts = ["task", task.text, str(task.run_slr), str(task.run_str),
              task.profile]
     if task.backends:
-        # Arbitration outcomes depend on the backend chain, the
-        # arbitration mode, and the contract version — and the judge
-        # always runs, with per-file seeded probes, so the filename is
-        # part of the work.
-        parts += ["backends", ARBITRATION_VERSION, task.arbitration,
-                  *task.backends, task.filename, str(task.fuzz_seed)]
+        # Arbitration outcomes depend on the backend chain and the
+        # contract version — and the judge always runs, with per-file
+        # seeded probes, so the filename is part of the work.
+        parts += ["backends", ARBITRATION_VERSION, *task.backends,
+                  task.filename, str(task.fuzz_seed)]
     if task.validate:
         parts += [task.filename, str(task.fuzz_seed)]
     if faults.faults_enabled() and faults.affects_results():
@@ -1097,7 +1053,6 @@ class BatchStream:
                  validate: bool | None = None,
                  fuzz_seed: int | None = None,
                  backends=None,
-                 arbitration: str | None = None,
                  session: AnalysisSession | None = None,
                  window: int | None = None,
                  dedup_cap: int | None = None,
@@ -1119,17 +1074,7 @@ class BatchStream:
         self.validate = self.session.validate if validate is None \
             else validate
         self.fuzz_seed = fuzz_seed
-        if backends is None:
-            backends = self.session.backends \
-                if self.session.backends is not None else backends_from_env()
         self.backend_ids = resolve_backends(backends) if backends else None
-        if arbitration is None:
-            arbitration = arbitration_from_env()
-        self.arbitration = resolve_arbitration(arbitration)
-        if self.arbitration == "site" and self.backend_ids is None:
-            raise ValueError(
-                "site arbitration requires a backends selection "
-                "(--backends/REPRO_BACKENDS)")
         self.executor = make_executor(jobs)
         self.window = window if window is not None \
             else stream_window(self.executor.jobs)
@@ -1206,7 +1151,7 @@ class BatchStream:
                     pp_texts[filename] = text
             task = FileTask(filename, text, self.run_slr, self.run_str,
                             self.profile, self.validate, self.fuzz_seed,
-                            self.backend_ids, self.arbitration)
+                            self.backend_ids)
             key = _task_work_key(task)
             if self.journal is not None:
                 # Resume: a journaled completion whose work key still
@@ -1346,7 +1291,6 @@ def apply_batch(program: SourceProgram, *, run_slr: bool = True,
                 validate: bool | None = None,
                 fuzz_seed: int | None = None,
                 backends=None,
-                arbitration: str | None = None,
                 session: AnalysisSession | None = None,
                 journal=None) -> BatchResult:
     """Preprocess and transform every file of ``program``.
@@ -1369,17 +1313,13 @@ def apply_batch(program: SourceProgram, *, run_slr: bool = True,
     ``backends`` switches the per-file work from the legacy SLR→STR
     chain to oracle-arbitrated best-fix selection over the named fix
     backends (a comma-separated string, an iterable of ids, or
-    ``"all"``).  ``None`` falls back to ``session.backends``, then the
-    ``REPRO_BACKENDS`` environment knob, then legacy mode.  Under
-    arbitration the oracle always judges every candidate (``validate``
-    only controls whether the verdict table is *rendered*), the winner's
-    validation lands on each report, and per-backend tallies roll up via
+    ``"all"``); ``None`` runs the legacy chain.  The ``REPRO_BACKENDS``
+    environment knob is read by the CLI, not here, so a library caller
+    always gets exactly the work it asked for.  Under arbitration the
+    oracle always judges every candidate (``validate`` only controls
+    whether the verdict table is *rendered*), the winner's validation
+    lands on each report, and per-backend tallies roll up via
     :meth:`BatchResult.backend_scoreboard`.
-
-    ``arbitration`` picks whole-file (``"file"``, the default) or
-    per-site (``"site"``) winner selection; ``None`` defers to the
-    ``REPRO_ARBITRATION`` environment knob.  Site mode requires a
-    backend selection — it arbitrates between backends per call site.
 
     Fault isolation: a file whose preprocessing fails becomes a
     ``failed`` report (original text shipped verbatim, one
@@ -1396,7 +1336,7 @@ def apply_batch(program: SourceProgram, *, run_slr: bool = True,
     stream = BatchStream(program, run_slr=run_slr, run_str=run_str,
                          profile=profile, jobs=jobs, validate=validate,
                          fuzz_seed=fuzz_seed, backends=backends,
-                         arbitration=arbitration, session=session,
+                         session=session,
                          window=max(1, program.file_count),
                          dedup_cap=0, memoize_preprocess=True,
                          journal=journal)

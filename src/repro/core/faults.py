@@ -61,11 +61,10 @@ from dataclasses import dataclass
 
 #: Stage names :func:`check` is called with (documentation + validation).
 #: Under backend arbitration every registered backend id is also a stage
-#: (``tr24731``, ``s3lib``, …) — a ``tr24731:exception:1.0`` rule fails
-#: exactly that backend's candidates and lets the next-best fix win.
-INJECTABLE_STAGES = ("preprocess", "slr", "str", "tr24731", "s3lib",
-                     "verify", "validate", "store", "dispatch",
-                     "journal")
+#: (``s3lib``, …) — an ``s3lib:exception:1.0`` rule fails exactly that
+#: backend's candidates and lets the next-best fix win.
+INJECTABLE_STAGES = ("preprocess", "slr", "str", "s3lib", "verify",
+                     "validate", "store", "dispatch", "journal")
 
 #: Supported fault kinds.
 KINDS = ("exception", "hang", "kill", "parent-kill", "corrupt",

@@ -125,10 +125,9 @@ class FunctionRecord:
     """One function's slice of a transformation run.
 
     ``output_text`` is the fragment with its own edits applied;
-    ``outcomes`` carry lines relative to the fragment's first line and
-    edit offsets relative to the fragment's first byte, so a record is
-    position-independent and can be replayed wherever the fragment
-    lands in a composed file.
+    ``outcomes`` carry lines relative to the fragment's first line, so a
+    record is position-independent and can be replayed wherever the
+    fragment lands in a composed file.
     """
 
     output_text: str
@@ -183,18 +182,11 @@ def _split_records(text: str, spans: dict[str, tuple[int, int, int]],
         span = spans.get(outcome.function)
         if span is None:
             raise _Fallback("outcome-without-function", permanent=True)
-        s, e, line0 = span
-        rel_line = outcome.line - line0
+        rel_line = outcome.line - span[2]
         if rel_line < 0:
             raise _Fallback("outcome-line-outside-function", permanent=True)
-        rel_edits = []
-        for es, ee, rep in outcome.edits:
-            if not (s <= es and ee <= e):
-                raise _Fallback("outcome-edit-outside-function",
-                                permanent=True)
-            rel_edits.append((es - s, ee - s, rep))
         outcomes_by_fn[outcome.function].append(
-            replace(outcome, line=rel_line, edits=tuple(rel_edits)))
+            replace(outcome, line=rel_line))
 
     decls_by_fn = getattr(transformation, "decls_by_function", {})
     records: dict[str, FunctionRecord] = {}
@@ -381,12 +373,9 @@ class _StageRunner:
                 continue
             record = records[tile.name]
             parts.append(record.output_text)
-            s, _e, line0 = spans[tile.name]
-            for outcome in record.outcomes:
-                outcomes.append(replace(
-                    outcome, line=line0 + outcome.line,
-                    edits=tuple((es + s, ee + s, rep)
-                                for es, ee, rep in outcome.edits)))
+            line0 = spans[tile.name][2]
+            outcomes.extend(replace(outcome, line=line0 + outcome.line)
+                            for outcome in record.outcomes)
         return _StageState(seg, records, "".join(parts),
                            sort_outcomes(outcomes), blocks)
 

@@ -137,7 +137,6 @@ def render_backend_scoreboard(result: BatchResult) -> str:
             if backend_id in board and backend_id not in order:
                 order.append(backend_id)
     order.extend(b for b in sorted(board) if b not in order)
-    site_mode = any(a.mode == "site" for a in arbitrations)
     # The breaker column appears only when a breaker actually tripped,
     # keeping the healthy-run table in the PR 6 shape.
     breaker_mode = any(row.get("breaker_skips", 0)
@@ -147,16 +146,14 @@ def render_backend_scoreboard(result: BatchResult) -> str:
              row["runner_up"], row["rejected"], row["no_change"],
              row["not_applicable"], row["errors"],
              *([row.get("breaker_skips", 0)] if breaker_mode else []),
-             row["overflow_prevented"], row["sites_transformed"],
-             *([row.get("sites_won", 0)] if site_mode else [])]
+             row["overflow_prevented"], row["sites_transformed"]]
             for backend_id in order
             for row in (board[backend_id],)]
     table = _table(["backend", "attempted", "changed", "selected",
                     "runner-up", "rejected", "no-change", "n/a",
                     "errors",
                     *(["breaker-skips"] if breaker_mode else []),
-                    "overflow-prevented", "sites",
-                    *(["sites-won"] if site_mode else [])], rows)
+                    "overflow-prevented", "sites"], rows)
     summary = (f"arbitration: {len(arbitrations)} file(s), "
                f"{result.backends_attempted} candidate(s) attempted, "
                f"{result.backends_rejected} rejected by the oracle")
@@ -168,12 +165,6 @@ def render_backend_scoreboard(result: BatchResult) -> str:
             if board[backend].get("breaker_skips", 0))
         lines.append(f"circuit breakers: candidates skipped while "
                      f"open: {skipped}")
-    if site_mode:
-        winners = result.site_winner_totals()
-        breakdown = " ".join(f"{backend}={count}" for backend, count
-                             in sorted(winners.items())) or "none"
-        lines.append(f"site mode: {result.composites_shipped} "
-                     f"composite(s) shipped; site winners: {breakdown}")
     rejected = [(report.filename, candidate)
                 for report in arbitrations
                 for candidate in report.candidates
@@ -243,12 +234,6 @@ def diagnostics_payload(result: BatchResult) -> dict:
             "arbitrations": [report.as_dict()
                              for report in arbitrations],
         }
-        if any(a.mode == "site" for a in arbitrations):
-            payload["backends"]["arbitration_mode"] = "site"
-            payload["backends"]["site_winners"] = \
-                result.site_winner_totals()
-            payload["backends"]["composites_shipped"] = \
-                result.composites_shipped
     return payload
 
 

@@ -10,8 +10,8 @@ run lives in one directory.
 
 * ``manifest.json`` — written once at run start: program name, the
   input manifest (per-file content hashes), the settings that determine
-  the work (backends, arbitration, validate, seed, profile), and the
-  tool fingerprint.
+  the work (stages, profile, validate, backends), and the tool
+  fingerprint.
 * ``journal.jsonl`` — the write-ahead log: one JSON record per per-file
   lifecycle event (``dispatched`` → ``completed`` / ``failed`` /
   ``quarantined``), appended and flushed before the run moves on.  A

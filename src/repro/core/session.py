@@ -60,11 +60,6 @@ class AnalysisSession:
         #: drivers that are not told ``validate=`` explicitly fall back
         #: to this flag (see :func:`repro.core.batch.apply_batch`).
         self.validate = validate
-        #: Session-wide default backend chain for arbitration: batch
-        #: drivers not told ``backends=`` explicitly fall back to this,
-        #: then to the ``REPRO_BACKENDS`` environment knob, then to the
-        #: legacy SLR→STR pipeline (``None`` everywhere).
-        self.backends: tuple[str, ...] | None = None
         self._parse_cache = ContentCache(cache_name, family="parse")
 
     # ------------------------------------------------------------ pipeline

@@ -464,60 +464,6 @@ class SafeLibraryReplacement(Transformation):
             self.rewriter.insert_before(0, block)
 
 
-class TR24731Replacement(SafeLibraryReplacement):
-    """ISO/IEC TR 24731-1 backend: the ``c11`` replacement profile plus
-    runtime-constraint *handler emission*.
-
-    The ``_s`` family's contract (Laverdière-Papineau et al.) is that a
-    rejected operation invokes the installed runtime-constraint handler.
-    This transformation therefore goes one step beyond
-    ``SafeLibraryReplacement(profile="c11")``: when any site was
-    rewritten it also emits a reporting handler (a ``perror`` of the
-    violation message — stderr, so the differential oracle's observable
-    stdout/exit/fault triple is untouched) and installs it with
-    ``set_constraint_handler_s`` as the first statement of ``main``.
-    """
-
-    name = "TR24731"
-
-    def __init__(self, text: str, filename: str = "<unit>", **kwargs):
-        kwargs.pop("profile", None)
-        super().__init__(text, filename, profile="c11", **kwargs)
-
-    def finalize(self) -> None:
-        super().finalize()
-        if not any(o.transformed for o in self.outcomes):
-            return
-        main = next((fn for fn in self.unit.functions()
-                     if fn.name == "main"), None)
-        if main is None or not isinstance(main.body, ast.CompoundStmt):
-            return
-        handler = self._fresh_name("repro_constraint_handler")
-        lines = []
-        if not _already_declared(self.text, "set_constraint_handler_s"):
-            lines.append("void set_constraint_handler_s("
-                         "void (*handler)(const char *, void *, int));")
-        if not _already_declared(self.text, "perror"):
-            lines.append("void perror(const char *s);")
-        lines.append(f"void {handler}(const char *msg, void *ptr, "
-                     f"int error) {{\n"
-                     f"    perror(msg);\n"
-                     f"}}")
-        self.rewriter.insert_before(
-            0, "/* Runtime-constraint handler added by TR 24731 "
-               "REPLACEMENT. */\n" + "\n".join(lines) + "\n\n")
-        # First statement of main: install the handler before any _s
-        # call can possibly reject.
-        self.rewriter.insert_before(
-            main.body.extent.start + 1,
-            f"\n    set_constraint_handler_s({handler});")
-
-
-def apply_tr24731(text: str, filename: str = "<unit>"):
-    """Convenience: run the TR 24731 replacement over ``text``."""
-    return TR24731Replacement(text, filename).run()
-
-
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 #: String/char literals and comments, blanked before brace counting so a

@@ -61,9 +61,7 @@ from . import faults
 #: policy change).
 SCHEMA_VERSION = 1
 
-#: Artifact families the pipeline persists.  ``site`` holds the
-#: single-site candidate texts site-mode arbitration composes from,
-#: keyed per (backend, site identity, input text).  ``func`` holds
+#: Artifact families the pipeline persists.  ``func`` holds
 #: function-granular incremental artifacts — per-component preprocessed
 #: renders and transform outcomes keyed on (stage, function token hash,
 #: headers/preamble fingerprint) — so an unchanged function hits disk
@@ -71,8 +69,8 @@ SCHEMA_VERSION = 1
 #: ``quarantine`` holds poison-file records (content hash → diagnostic)
 #: written by journaled batch runs — the fingerprint-salted version dir
 #: means a tool change releases every quarantined file automatically.
-FAMILIES = ("preprocess", "parse", "slr", "str", "backend", "site",
-            "validate", "execute", "func", "quarantine")
+FAMILIES = ("preprocess", "parse", "slr", "str", "backend", "validate",
+            "execute", "func", "quarantine")
 
 #: Abandoned temp files older than this are garbage (a crashed writer);
 #: live writers hold a temp file for milliseconds.

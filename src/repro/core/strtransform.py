@@ -124,11 +124,6 @@ class SafeTypeReplacement(Transformation):
         super().__init__(text, filename, **kwargs)
         self._accepted: dict[int, _Candidate] = {}
         self._any_transformed = False
-        #: ``(uids, edits)`` per queued rewrite — which accepted variables
-        #: a text edit serves.  Assignment-connected variables share
-        #: rewrites (and pattern 5 queues none), so per-site attribution
-        #: clusters over these records plus candidate groups.
-        self._edit_records: list[tuple[frozenset[int], tuple]] = []
 
     # ------------------------------------------------------------- targets
 
@@ -161,15 +156,12 @@ class SafeTypeReplacement(Transformation):
 
         self._accepted = {c.symbol.uid: c for c in candidates
                           if c.failure is None}
-        outcome_by_uid: dict[int, SiteOutcome] = {}
         for candidate in candidates:
             base = dict(transformation=self.name, target=candidate.name,
                         function=candidate.function.name,
                         line=self.line_of(candidate.declarator))
             if candidate.failure is None:
-                outcome = SiteOutcome(**base, status=TRANSFORMED)
-                outcome_by_uid[candidate.symbol.uid] = outcome
-                self.outcomes.append(outcome)
+                self.outcomes.append(SiteOutcome(**base, status=TRANSFORMED))
             else:
                 reason, detail = candidate.failure
                 self.outcomes.append(SiteOutcome(
@@ -177,7 +169,6 @@ class SafeTypeReplacement(Transformation):
                     detail=detail))
 
         self._rewrite()
-        self._attach_cluster_edits(outcome_by_uid)
         final_mark = self.rewriter.checkpoint()
         self.finalize()
         finalize_edits = self.rewriter.edits_since(final_mark)
@@ -187,58 +178,6 @@ class SafeTypeReplacement(Transformation):
         return TransformResult(self.name, self.text, new_text,
                                sort_outcomes(self.outcomes),
                                finalize_edits=finalize_edits)
-
-    def _attach_cluster_edits(self,
-                              outcome_by_uid: dict[int, SiteOutcome]
-                              ) -> None:
-        """Attribute queued edits to one representative outcome per
-        cluster of accepted variables that must travel together.
-
-        Two variables belong to the same cluster when a single text edit
-        serves both (a shared declaration statement or an expression
-        touching both) or when they are assignment-connected (candidate
-        ``group``) — pattern 5 renders ``buf = buf2`` unchanged and
-        queues no edit, so groups cannot be recovered from edit overlap
-        alone.  The cluster's full edit list rides on the lowest-line
-        member; the other members keep ``edits=()`` (they are not
-        independently composable sites).
-        """
-        if not self._accepted:
-            return
-        parent = {uid: uid for uid in self._accepted}
-
-        def find(uid: int) -> int:
-            while parent[uid] != uid:
-                parent[uid] = parent[parent[uid]]
-                uid = parent[uid]
-            return uid
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        for uids, _edits in self._edit_records:
-            uids = [u for u in uids if u in self._accepted]
-            for other in uids[1:]:
-                union(uids[0], other)
-        for candidate in self._accepted.values():
-            for other in candidate.group:
-                if other in self._accepted:
-                    union(candidate.symbol.uid, other)
-
-        clusters: dict[int, list[int]] = {}
-        for uid in self._accepted:
-            clusters.setdefault(find(uid), []).append(uid)
-        for members in clusters.values():
-            edits: list = []
-            for uids, record_edits in self._edit_records:
-                if any(u in members for u in uids):
-                    edits.extend(record_edits)
-            rep = min(members,
-                      key=lambda u: (outcome_by_uid[u].line,
-                                     outcome_by_uid[u].target))
-            outcome_by_uid[rep].edits = tuple(edits)
 
     # ------------------------------------------------------------ use scan
 
@@ -499,12 +438,7 @@ class SafeTypeReplacement(Transformation):
             lines.append("stralloc " + ", ".join(shadows) + ";")
             lines.extend(inits)
         body = ("\n" + indent).join(lines)
-        mark = self.rewriter.checkpoint()
         self.rewriter.replace(decl.extent, body)
-        uids = frozenset(d.symbol.uid for d in decl.declarators
-                         if d.symbol is not None
-                         and d.symbol.uid in self._accepted)
-        self._edit_records.append((uids, self.rewriter.edits_since(mark)))
 
     def _init_statements(self, name: str, init: ast.Expression) -> list[str]:
         init = _strip_casts(init)
@@ -594,14 +528,7 @@ class SafeTypeReplacement(Transformation):
             return
         rendered = self._render(expr)
         if rendered != self.src(expr):
-            mark = self.rewriter.checkpoint()
             self.rewriter.replace(expr.extent, rendered)
-            uids = frozenset(n.symbol.uid for n in expr.walk()
-                             if isinstance(n, ast.Identifier)
-                             and n.symbol is not None
-                             and n.symbol.uid in self._accepted)
-            self._edit_records.append(
-                (uids, self.rewriter.edits_since(mark)))
 
     def _involves_candidate(self, expr: ast.Node) -> bool:
         return any(isinstance(n, ast.Identifier) and n.symbol is not None

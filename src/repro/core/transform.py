@@ -34,11 +34,6 @@ class SiteOutcome:
                                 # | SITE_ERROR (handler raised, contained)
     reason: str = ""            # failure taxonomy key, empty on success
     detail: str = ""
-    #: The ``(start, end, replacement)`` rewriter edits this site queued
-    #: against the *original* text — the unit of per-site composition.
-    #: Empty for untransformed sites and for sites whose rewrite is
-    #: carried by another site in the same cluster (STR groups).
-    edits: tuple = ()
 
     @property
     def transformed(self) -> bool:
@@ -58,8 +53,8 @@ class TransformResult:
     #: built outside the registry, e.g. direct ``apply_slr`` calls).
     backend: str = ""
     #: Whole-file edits queued by :meth:`Transformation.finalize`
-    #: (support declarations, constraint handlers) — replayed alongside
-    #: any of this result's per-site edits when composing.
+    #: (support declarations) — the incremental engine tells them apart
+    #: from the per-site edits when it slices a run per function.
     finalize_edits: tuple = ()
 
     @property
@@ -156,8 +151,6 @@ class Transformation:
             except Exception as exc:
                 self.rewriter.rollback(mark)
                 outcome = self._site_error_outcome(target, exc)
-            if outcome.transformed and not outcome.edits:
-                outcome.edits = self.rewriter.edits_since(mark)
             self.outcomes.append(outcome)
         final_mark = self.rewriter.checkpoint()
         self.finalize()

@@ -59,7 +59,6 @@ class SamateOutcome:
 def run_samate_program(program: TestProgram, *, execute: bool = True,
                        validate: bool = False,
                        backends: tuple[str, ...] | None = None,
-                       arbitration_mode: str = "file",
                        session: AnalysisSession | None = None
                        ) -> SamateOutcome:
     """Transform one SAMATE program and (optionally) execute before/after.
@@ -68,8 +67,7 @@ def run_samate_program(program: TestProgram, *, execute: bool = True,
     program's own probe set (:func:`repro.samate.differential_inputs`),
     re-checking every transformed site for semantics-changing rewrites.
     ``backends`` switches the fix step from the legacy SLR→STR chain to
-    per-file arbitration over the named backends;
-    ``arbitration_mode="site"`` composes the best backend per call site.
+    per-file arbitration over the named backends.
     """
     session = session if session is not None else get_session()
     with profile.stage("preprocess"):
@@ -83,16 +81,9 @@ def run_samate_program(program: TestProgram, *, execute: bool = True,
     arbitration = None
     if backends:
         text, _parses, _validation, arbitration = arbitrate_file(
-            pp.text, program.name, tuple(backends), session=session,
-            arbitration=arbitration_mode)
-        winning = arbitration.winning_candidate
-        if winning is not None and winning.changed and winning.result:
-            # Attribute through the shipped outcomes, which also covers
-            # a site-mode composite mixing SLR and STR sites.
-            applied = {o.transformation for o in winning.result.outcomes
-                       if o.transformed}
-            slr_applied = arbitration.winner == "slr" or "SLR" in applied
-            str_applied = arbitration.winner == "str" or "STR" in applied
+            pp.text, program.name, tuple(backends), session=session)
+        slr_applied = arbitration.winner == "slr"
+        str_applied = arbitration.winner == "str"
     else:
         if program.slr_applicable:
             with profile.stage("slr"):
@@ -142,21 +133,18 @@ class _SuiteTask:
     execute: bool
     validate: bool = False
     backends: tuple[str, ...] | None = None
-    arbitration_mode: str = "file"
 
 
 def _run_suite_task(task: _SuiteTask) -> SamateOutcome:
     return run_samate_program(task.program, execute=task.execute,
                               validate=task.validate,
-                              backends=task.backends,
-                              arbitration_mode=task.arbitration_mode)
+                              backends=task.backends)
 
 
 def run_samate_suite(programs: list[TestProgram], *,
                      execute: set[int] | None = None,
                      validate: bool = False,
                      backends: tuple[str, ...] | None = None,
-                     arbitration_mode: str = "file",
                      jobs: int | None = None) -> list[SamateOutcome]:
     """Run many SAMATE programs, optionally over a fork pool.
 
@@ -169,8 +157,7 @@ def run_samate_suite(programs: list[TestProgram], *,
     from ..core.batch import default_jobs
     tasks = [_SuiteTask(p, execute is None or id(p) in execute,
                         validate and (execute is None or id(p) in execute),
-                        tuple(backends) if backends else None,
-                        arbitration_mode)
+                        tuple(backends) if backends else None)
              for p in programs]
     jobs = default_jobs() if jobs is None else max(1, jobs)
     if jobs == 1 or len(tasks) <= 1:

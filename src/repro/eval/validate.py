@@ -40,7 +40,6 @@ class ValidationEvalResult:
     corpus_rows: list[ValidationRow] = field(default_factory=list)
     backends: tuple[str, ...] | None = None
     scoreboard: dict[str, dict[str, int]] = field(default_factory=dict)
-    arbitration: str = "file"
 
     @property
     def rows(self) -> list[ValidationRow]:
@@ -57,7 +56,7 @@ class ValidationEvalResult:
     def scoreboard_payload(self) -> dict:
         """The machine-readable shape behind ``--scoreboard-json`` (the
         CI backend-matrix artifact)."""
-        payload = {
+        return {
             "backends": list(self.backends) if self.backends else [],
             "scoreboard": self.scoreboard,
             "verdicts": {verdict: sum(r.counts.get(verdict, 0)
@@ -67,11 +66,6 @@ class ValidationEvalResult:
             "inputs": sum(r.inputs for r in self.rows),
             "ok": self.ok,
         }
-        # Keyed only in site mode so the default artifact stays
-        # byte-identical to the pre-site shape.
-        if self.arbitration != "file":
-            payload["arbitration"] = self.arbitration
-        return payload
 
     def render(self) -> str:
         headers = ["Suite", "Programs", "Inputs", *VERDICTS]
@@ -88,23 +82,16 @@ class ValidationEvalResult:
         title = "Differential validation — Table III/V transformed sites"
         if self.backends:
             title += f" [backends: {', '.join(self.backends)}]"
-        if self.arbitration != "file":
-            title += f" [arbitration: {self.arbitration}]"
         text = render_table(headers, rows, title)
         if self.scoreboard:
-            site_mode = any("sites_won" in row
-                            for row in self.scoreboard.values())
             board_rows = [[backend, row["attempted"], row["changed"],
                            row["selected"], row["rejected"],
-                           row["errors"], row["overflow_prevented"],
-                           *([row.get("sites_won", 0)]
-                             if site_mode else [])]
+                           row["errors"], row["overflow_prevented"]]
                           for backend, row
                           in sorted(self.scoreboard.items())]
             text += "\n\n" + render_table(
                 ["Backend", "Attempted", "Changed", "Selected",
-                 "Rejected", "Errors", "Overflow-prevented",
-                 *(["Sites-won"] if site_mode else [])],
+                 "Rejected", "Errors", "Overflow-prevented"],
                 board_rows, "Backend arbitration scoreboard")
         return text
 
@@ -120,37 +107,25 @@ def _merge(counts: dict[str, int], report) -> int:
 def compute_validation(*, scale: float = 0.02, limit: int = 12,
                        jobs: int | None = None,
                        corpus: bool = True,
-                       backends=None,
-                       arbitration: str | None = None
-                       ) -> ValidationEvalResult:
+                       backends=None) -> ValidationEvalResult:
     """Run the oracle over a SAMATE slice and the corpus programs.
 
     ``scale`` sizes the generated Table III population; ``limit`` caps
     the per-CWE number of programs actually validated (stratified, so
     variant/flow diversity survives the cap).  ``backends`` (an id
     tuple, comma string, or ``"all"``) swaps the legacy SLR→STR chain
-    for per-file arbitration and fills the result's scoreboard;
-    ``arbitration="site"`` replays the same population under per-site
-    composition — the gate that proves site mode ships no
-    ``semantics-changed`` composite anywhere in Table III/V.
+    for per-file arbitration and fills the result's scoreboard.
     """
-    from ..core.backends import (
-        resolve_arbitration, resolve_backends, scoreboard,
-    )
+    from ..core.backends import resolve_backends, scoreboard
 
     backend_ids = resolve_backends(backends) if backends else None
-    mode = resolve_arbitration(arbitration)
-    if mode == "site" and backend_ids is None:
-        raise ValueError("site arbitration requires a backends selection "
-                         "(--backends)")
-    result = ValidationEvalResult(backends=backend_ids, arbitration=mode)
+    result = ValidationEvalResult(backends=backend_ids)
     arbitrations = []
     suite = generate_suite(scale)
     for cwe, programs in suite.items():
         sample = stratified_sample(programs, limit)
         outcomes = run_samate_suite(sample, validate=True, jobs=jobs,
-                                    backends=backend_ids,
-                                    arbitration_mode=mode)
+                                    backends=backend_ids)
         counts: dict[str, int] = {}
         inputs = 0
         validated = 0
@@ -166,8 +141,7 @@ def compute_validation(*, scale: float = 0.02, limit: int = 12,
     if corpus:
         for name, program in build_all().items():
             batch = apply_batch(program, validate=True, jobs=jobs,
-                                backends=backend_ids,
-                                arbitration=mode)
+                                backends=backend_ids)
             arbitrations.extend(batch.arbitrations())
             counts = {}
             inputs = 0
@@ -199,10 +173,6 @@ def main(argv: list[str] | None = None) -> None:
                         help="arbitrate these fix backends per program "
                              "instead of the legacy SLR→STR chain "
                              "('all' = every registered backend)")
-    parser.add_argument("--arbitration", default=None,
-                        choices=("file", "site"),
-                        help="winner selection under --backends: 'file' "
-                             "(default) or per-'site' composition")
     parser.add_argument("--scoreboard-json", default=None,
                         metavar="PATH",
                         help="write the backend scoreboard + verdict "
@@ -212,11 +182,10 @@ def main(argv: list[str] | None = None) -> None:
         result = compute_validation(scale=args.scale, limit=args.limit,
                                     jobs=args.jobs,
                                     corpus=not args.no_corpus,
-                                    backends=args.backends,
-                                    arbitration=args.arbitration)
+                                    backends=args.backends)
     except (KeyError, ValueError) as exc:
-        # A typo'd --backends id (UnknownBackendError) or a bad mode
-        # must exit with one clean line, not a traceback.
+        # A typo'd --backends id (UnknownBackendError) must exit with
+        # one clean line, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     print(result.render())

@@ -1,10 +1,10 @@
 """Tests for the pluggable fix-backend registry and oracle-arbitrated
 per-file best-fix selection (PR 6).
 
-Covers: the registry surface (register/resolve/env), the two new
-backends (tr24731 with its runtime-constraint handler, s3lib's
-signature-preserving wrappers) as transforms *and* under the VM,
-arbitration's verdict ordering and fault containment, determinism
+Covers: the registry surface (register/resolve/env), the s3lib
+backend's signature-preserving wrappers as a transform *and* under the
+VM, why s3lib stays registered (it wins corpus files SLR cannot fully
+fix), arbitration's verdict ordering and fault containment, determinism
 across worker counts and cache states, and the batch/report/CLI
 integration.
 """
@@ -24,7 +24,6 @@ from repro.core.backends import (
 from repro.core.batch import SourceProgram, apply_batch
 from repro.core.s3lib import apply_s3lib
 from repro.core.session import get_session, reset_session
-from repro.core.slr import apply_tr24731
 from repro.core.transform import TransformResult
 
 from .helpers import pp, run
@@ -70,10 +69,10 @@ def _no_backend_env(monkeypatch):
 class TestRegistry:
     def test_standard_backends_registered(self):
         assert set(DEFAULT_BACKENDS) <= set(backend_ids())
-        assert {"slr", "str", "tr24731", "s3lib"} <= set(backend_ids())
+        assert {"slr", "str", "s3lib"} <= set(backend_ids())
 
     def test_backend_metadata(self):
-        for backend_id in ("slr", "str", "tr24731", "s3lib"):
+        for backend_id in ("slr", "str", "s3lib"):
             backend = get_backend(backend_id)
             assert backend.id == backend_id
             assert backend.title
@@ -104,7 +103,7 @@ class TestRegistry:
             register_backend(FixBackend())
 
     def test_resolve_comma_string(self):
-        assert resolve_backends("slr, tr24731") == ("slr", "tr24731")
+        assert resolve_backends("slr, s3lib") == ("slr", "s3lib")
 
     def test_resolve_iterable_and_dedup_preserves_order(self):
         assert resolve_backends(["s3lib", "slr", "s3lib"]) \
@@ -123,62 +122,8 @@ class TestRegistry:
 
     def test_backends_from_env(self, monkeypatch):
         assert backends_from_env() is None
-        monkeypatch.setenv("REPRO_BACKENDS", "tr24731, s3lib")
-        assert backends_from_env() == ("tr24731", "s3lib")
-
-
-class TestTR24731Backend:
-    def test_rewrites_to_s_family_and_installs_handler(self):
-        result = apply_tr24731(pp(OVERFLOW_SRC), "t.c")
-        assert result.transformed_count >= 1
-        assert "strcpy_s(" in result.new_text
-        assert "set_constraint_handler_s(" in result.new_text
-        # The emitted handler is defined before it is installed.
-        import re
-        install = re.search(r"set_constraint_handler_s\((\w+)\);",
-                            result.new_text)
-        assert install, "no handler install call in main"
-        assert f"void {install.group(1)}(" in result.new_text
-
-    def test_overflow_prevented_under_vm(self):
-        result = apply_tr24731(pp(OVERFLOW_SRC), "t.c")
-        before = run(OVERFLOW_SRC, stdin=b"0123456789abcdef\n")
-        after = run(result.new_text, stdin=b"0123456789abcdef\n",
-                    preprocess=False)
-        assert before.fault is not None
-        assert after.fault is None
-        # The constraint handler reports on stderr; stdout (the oracle's
-        # observable) shows the operation was rejected, not a smash.
-        assert b"0123456789abcdef" not in after.stdout
-
-    def test_benign_input_identical(self):
-        result = apply_tr24731(pp(OVERFLOW_SRC), "t.c")
-        before = run(OVERFLOW_SRC, stdin=b"ok\n")
-        after = run(result.new_text, stdin=b"ok\n", preprocess=False)
-        assert before.fault is None and after.fault is None
-        assert after.stdout == before.stdout
-
-    def test_user_constraint_handler_is_invoked(self):
-        src = """\
-int printf(const char *format, ...);
-int strcpy_s(char *dest, unsigned long n, const char *src);
-void set_constraint_handler_s(
-    void (*h)(const char *msg, void *ptr, int error));
-void mine(const char *msg, void *ptr, int error) {
-    printf("handler:%d\\n", error);
-}
-int main(void) {
-    char buf[4];
-    set_constraint_handler_s(mine);
-    strcpy_s(buf, 4, "far too long");
-    printf("after\\n");
-    return 0;
-}
-"""
-        result = run(src, preprocess=False)
-        assert result.fault is None
-        assert b"handler:" in result.stdout
-        assert b"after" in result.stdout
+        monkeypatch.setenv("REPRO_BACKENDS", "str, s3lib")
+        assert backends_from_env() == ("str", "s3lib")
 
 
 class TestS3LibBackend:
@@ -226,6 +171,20 @@ int main(void) {
         assert b"g:abcde\n" in result.stdout      # capped at 6 - NUL
         assert b"s:0123456:7\n" in result.stdout  # capped at 8 - NUL
 
+    def test_wins_corpus_sites_slr_cannot_size(self):
+        """Why s3lib stays registered: on zlib's unsafe-call file it
+        fixes every site, where SLR's Algorithm 1 sizes only 26 of 36."""
+        from repro.corpus import build_all
+        program = build_all()["zlib"].preprocess()
+        text = program.files["sites_zlib.c"]
+        *_, report = arbitrate_file(text, "sites_zlib.c",
+                                    ("slr", "str", "s3lib"))
+        assert report.winner == "s3lib"
+        s3lib = report.candidate_for("s3lib")
+        slr = report.candidate_for("slr")
+        assert (s3lib.transformed_count, s3lib.candidates) == (36, 36)
+        assert (slr.transformed_count, slr.candidates) == (26, 36)
+
 
 def _stub_backend(backend_id, rewrite):
     """A FixBackend whose run() fabricates a TransformResult by applying
@@ -270,7 +229,7 @@ class TestArbitration:
     def test_winner_prevents_overflow_and_is_judged(self):
         text = pp(OVERFLOW_SRC)
         final, parses, validation, report = arbitrate_file(
-            text, "o.c", ("slr", "tr24731", "s3lib"))
+            text, "o.c", ("slr", "str", "s3lib"))
         assert parses
         assert report.winner is not None
         winning = report.winning_candidate
@@ -334,10 +293,10 @@ class TestArbitration:
 
     def test_all_backends_failed_ships_input_verbatim(self, monkeypatch):
         monkeypatch.setenv(
-            "REPRO_FAULTS", "s3lib:exception:1.0,tr24731:exception:1.0")
+            "REPRO_FAULTS", "s3lib:exception:1.0,str:exception:1.0")
         text = pp(OVERFLOW_SRC)
         final, parses, validation, report = arbitrate_file(
-            text, "o.c", ("s3lib", "tr24731"))
+            text, "o.c", ("s3lib", "str"))
         assert final == text
         assert parses and validation is None and report.winner is None
         assert all(c.status == CANDIDATE_ERROR
@@ -373,7 +332,7 @@ def _program(n=3):
 
 class TestBatchArbitration:
     def test_batch_selects_validated_fixes(self):
-        batch = apply_batch(_program(), backends="slr,str,tr24731,s3lib",
+        batch = apply_batch(_program(), backends="slr,str,s3lib",
                             validate=True)
         assert batch.all_parse and batch.semantics_preserved
         for report in batch.reports:
@@ -383,7 +342,7 @@ class TestBatchArbitration:
             assert winning is not None
             assert report.validation is winning.validation
             assert report.validation.semantics_changed == 0
-        assert batch.stats.backends_attempted == 3 * 4
+        assert batch.stats.backends_attempted == 3 * 3
         assert batch.stats.backends_rejected == batch.backends_rejected
         board = batch.backend_scoreboard()
         assert sum(row["selected"] for row in board.values()) == 3
@@ -394,11 +353,18 @@ class TestBatchArbitration:
         assert report.validation is not None
         assert report.validation.overflows_prevented > 0
 
-    def test_env_default_enables_arbitration(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKENDS", "s3lib")
-        batch = apply_batch(_program(1))
-        assert batch.reports[0].arbitration is not None
-        assert batch.reports[0].arbitration.winner == "s3lib"
+    def test_env_knob_does_not_reach_library_callers(self, monkeypatch):
+        """``REPRO_BACKENDS`` is a CLI default: with it set, the corpus's
+        SLR-only batch still yields Table V's 259/317."""
+        from repro.corpus import build_all
+        monkeypatch.setenv("REPRO_BACKENDS", "slr,str")
+        done = total = 0
+        for program in build_all().values():
+            batch = apply_batch(program, run_slr=True, run_str=False)
+            assert not batch.arbitrations()
+            done += batch.transformed("SLR")
+            total += batch.candidates("SLR")
+        assert (done, total) == (259, 317)
 
     def test_legacy_mode_untouched_without_backends(self):
         batch = apply_batch(_program(1))
@@ -437,8 +403,7 @@ class TestArbitrationDeterminism:
     count and any cache state."""
 
     def _outcome(self, **kwargs):
-        batch = apply_batch(_program(4),
-                            backends="slr,str,tr24731,s3lib",
+        batch = apply_batch(_program(4), backends="slr,str,s3lib",
                             validate=True, **kwargs)
         return batch.winners(), batch.backend_scoreboard()
 
@@ -459,16 +424,16 @@ class TestArbitrationDeterminism:
         """With one backend failing on every file, both worker counts
         pick the same (next-best) winners and every shipped file is a
         validated fix or the input verbatim."""
-        monkeypatch.setenv("REPRO_FAULTS", "tr24731:exception:1.0")
+        monkeypatch.setenv("REPRO_FAULTS", "s3lib:exception:1.0")
         batch_1 = apply_batch(_program(3),
-                              backends="tr24731,slr,s3lib", jobs=1)
+                              backends="s3lib,slr,str", jobs=1)
         batch_4 = apply_batch(_program(3),
-                              backends="tr24731,slr,s3lib", jobs=4)
+                              backends="s3lib,slr,str", jobs=4)
         assert batch_1.winners() == batch_4.winners()
         assert batch_1.backend_scoreboard() \
             == batch_4.backend_scoreboard()
         board = batch_1.backend_scoreboard()
-        assert board["tr24731"]["errors"] == 3
+        assert board["s3lib"]["errors"] == 3
         for report in batch_1.reports:
             winning = report.arbitration.winning_candidate
             if winning is None:
@@ -482,8 +447,20 @@ class TestBackendsCLI:
         from repro.cli import main
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for backend_id in ("slr", "str", "tr24731", "s3lib"):
+        for backend_id in ("slr", "str", "s3lib"):
             assert backend_id in out
+
+    def test_backends_subcommand_rejects_bad_env(self, monkeypatch,
+                                                 capsys):
+        from repro.cli import main
+        monkeypatch.setenv("REPRO_BACKENDS", "bogus")
+        code = main(["backends"])
+        captured = capsys.readouterr()
+        assert code != 0
+        assert captured.err.splitlines() == [
+            f"error: unknown fix backend 'bogus'; registered: "
+            f"{', '.join(sorted(backend_ids()))}"]
+        assert "Traceback" not in captured.out
 
     def test_batch_backends_flag(self, tmp_path, capsys):
         from repro.cli import main
@@ -494,6 +471,25 @@ class TestBackendsCLI:
         assert code == 0
         assert "winner" in captured.out
         assert "arbitration:" in captured.out + captured.err
+
+    def test_env_default_enables_arbitration(self, tmp_path, capsys,
+                                             monkeypatch):
+        import json
+
+        from repro.cli import main
+        monkeypatch.setenv("REPRO_BACKENDS", "s3lib")
+        monkeypatch.setenv("REPRO_RUN_DIR", str(tmp_path / "runs"))
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "a.c").write_text(OVERFLOW_SRC,
+                                              encoding="utf-8")
+        code = main(["batch", str(tmp_path / "src"), "--run-id", "env"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "s3lib:1/1" in captured.out          # the winner column
+        assert "arbitration: 1/1 file(s) fixed" in captured.err
+        manifest = tmp_path / "runs" / "env" / "manifest.json"
+        settings = json.loads(manifest.read_text())["settings"]
+        assert settings["backends"] == "s3lib"
 
     def test_batch_unknown_backend_errors(self, tmp_path, capsys):
         from repro.cli import main

@@ -182,6 +182,28 @@ class TestC11RuntimeSemantics:
         assert out.ok
         assert out.stdout_text == "-1 []\n"
 
+    def test_user_constraint_handler_is_invoked(self):
+        src = """\
+int printf(const char *format, ...);
+int strcpy_s(char *dest, unsigned long n, const char *src);
+void set_constraint_handler_s(
+    void (*h)(const char *msg, void *ptr, int error));
+void mine(const char *msg, void *ptr, int error) {
+    printf("handler:%d\\n", error);
+}
+int main(void) {
+    char buf[4];
+    set_constraint_handler_s(mine);
+    strcpy_s(buf, 4, "far too long");
+    printf("after\\n");
+    return 0;
+}
+"""
+        result = run(src, preprocess=False)
+        assert result.fault is None
+        assert b"handler:" in result.stdout
+        assert b"after" in result.stdout
+
     def test_both_profiles_fix_every_overflow(self):
         source = PRELUDE + """
         int main(void) {

@@ -448,8 +448,8 @@ class TestBackendKeySalt:
     def test_backend_id_salts_key(self):
         from repro.core.backends import backend_cache_key, get_backend
         keys = {backend_cache_key(get_backend(b), self.TEXT)
-                for b in ("slr", "str", "tr24731", "s3lib")}
-        assert len(keys) == 4
+                for b in ("slr", "str", "s3lib")}
+        assert len(keys) == 3
 
     def test_config_key_salts_key(self):
         from repro.core.backends import SLRBackend, backend_cache_key

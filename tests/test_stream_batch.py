@@ -8,11 +8,9 @@ set bounded by the stream/dedup windows instead of the batch size.
 import gc
 import weakref
 
-import pytest
-
 from repro.core.batch import (
-    DEDUP_WINDOW, BatchStream, ProcessPoolExecutor, SerialExecutor,
-    SourceProgram, apply_batch, stream_batch, stream_window, transform_file,
+    DEDUP_WINDOW, ProcessPoolExecutor, SerialExecutor, SourceProgram,
+    apply_batch, stream_batch, stream_window, transform_file,
 )
 
 BROKEN_TMPL = """\
@@ -191,7 +189,3 @@ class TestStreamSupervisionAndKnobs:
                 assert report.final_text == pp[report.filename]
             else:
                 assert report.status == "ok"
-
-    def test_site_arbitration_requires_backends_eagerly(self):
-        with pytest.raises(ValueError, match="site arbitration"):
-            BatchStream(distinct_program(2), arbitration="site")
