@@ -6,8 +6,8 @@ times: SLR parses the preprocessed unit, STR parses SLR's output, the
 original and the transformed text before executing them.  All of those
 are pure functions of the input text, so this module provides small LRU
 caches keyed on a content hash; :mod:`repro.core.session` builds the
-parse/analysis cache on top, and :func:`preprocess_cached` below serves
-every preprocessing consumer.
+memory-only parse/analysis cache and the verify-verdict cache on top,
+and :func:`preprocess_cached` below serves every preprocessing consumer.
 
 A cache constructed with a ``family`` is additionally backed by the
 persistent artifact store (:mod:`repro.core.store`): lookups go memory →
@@ -16,6 +16,10 @@ workers and later CLI runs share them.  Every key is salted with the
 tool fingerprint (:func:`repro.fingerprint.tool_fingerprint`), so
 entries computed by an older checkout are never reused after a code
 change — on disk *or* in memory.
+
+:class:`CacheStats` is the one counter system: each cache counts its
+own lookups, store loads and bytes where they happen, per process.
+Fork-pool workers' counts stay in the workers.
 
 Environment knobs:
 
@@ -193,27 +197,6 @@ _REGISTRY: dict[str, ContentCache] = {}
 
 def all_cache_stats() -> list[CacheStats]:
     return [cache.stats for cache in _REGISTRY.values()]
-
-
-def stats_by_family() -> dict[str, CacheStats]:
-    """This process's counters merged per artifact family.
-
-    Caches without a family (memory-only) merge under their own name,
-    so the view covers every cache while keying disk-backed ones the
-    same way ``repro cache stats`` keys the store's usage rows."""
-    merged: dict[str, CacheStats] = {}
-    for cache in _REGISTRY.values():
-        family = cache.family or cache.name
-        into = merged.setdefault(family, CacheStats(family))
-        s = cache.stats
-        into.hits += s.hits
-        into.misses += s.misses
-        into.evictions += s.evictions
-        into.disk_hits += s.disk_hits
-        into.disk_misses += s.disk_misses
-        into.bytes_read += s.bytes_read
-        into.bytes_written += s.bytes_written
-    return merged
 
 
 def snapshot_stats() -> dict[str, CacheStats]:

@@ -19,7 +19,7 @@ Subcommands mirror how the paper's tool is used:
   lengths at unsafe call sites);
 * ``cache ACTION``   — manage the persistent artifact store
   (``stats`` / ``clear`` / ``gc``; ``stats --json`` dumps per-family
-  usage and counters machine-readably);
+  on-disk usage machine-readably);
 * ``runs ACTION``    — inspect the crash-safe run journals every
   ``batch`` invocation writes (``list`` / ``show`` / ``gc``); ``batch
   --resume <run-id|latest>`` replays a crashed or interrupted run's
@@ -493,7 +493,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _cache_stats_payload(store) -> dict:
     """Machine-readable snapshot of the persistent store: per-family
-    usage and lifetime counters."""
+    on-disk usage."""
     from .core.store import SCHEMA_VERSION
 
     return {
@@ -501,7 +501,6 @@ def _cache_stats_payload(store) -> dict:
         "schema_version": SCHEMA_VERSION,
         "fingerprint": store.fingerprint,
         "usage": store.usage(),
-        "counters": store.persisted_counters(),
         "stale_versions": store.stale_versions(),
     }
 
@@ -509,7 +508,6 @@ def _cache_stats_payload(store) -> dict:
 def cmd_cache(args: argparse.Namespace) -> int:
     import json
 
-    from .cfront.cache import stats_by_family
     from .core.store import SCHEMA_VERSION, get_store
 
     store = get_store()
@@ -542,41 +540,20 @@ def cmd_cache(args: argparse.Namespace) -> int:
                       f"under {runs_root()}")
         return 0
 
-    # stats: on-disk usage plus lifetime hit/miss/bytes counters.
+    # stats: on-disk usage per family.
     print(f"store: {store.root}")
     print(f"version: schema v{SCHEMA_VERSION}, "
           f"fingerprint {store.fingerprint}")
     usage = store.usage()
-    counters = store.persisted_counters()
-    families = sorted(set(usage) | set(counters))
-    if not families:
+    if not usage:
         print("(store is empty)")
         return 0
-    rows = []
-    total_entries = total_bytes = 0
-    for family in families:
-        use = usage.get(family, {"entries": 0, "bytes": 0})
-        counter = counters.get(family, {})
-        total_entries += use["entries"]
-        total_bytes += use["bytes"]
-        rows.append(f"  {family:<11} {use['entries']:>7} entries  "
-                    f"{use['bytes']:>10} bytes  "
-                    f"hits={counter.get('hits', 0)} "
-                    f"misses={counter.get('misses', 0)} "
-                    f"read={counter.get('bytes_read', 0)} "
-                    f"written={counter.get('bytes_written', 0)}")
-    print("\n".join(rows))
-    print(f"  {'(total)':<11} {total_entries:>7} entries  "
-          f"{total_bytes:>10} bytes")
-    process = stats_by_family()
-    if any(s.lookups for s in process.values()):
-        print("this process (memory LRU + disk layer, by family):")
-        for family, s in sorted(process.items()):
-            if not s.lookups:
-                continue
-            print(f"  {family:<11} hits={s.hits} misses={s.misses} "
-                  f"disk_hits={s.disk_hits} disk_misses={s.disk_misses} "
-                  f"hit_rate={100.0 * s.hit_rate:.1f}%")
+    for family, use in sorted(usage.items()):
+        print(f"  {family:<11} {use['entries']:>7} entries  "
+              f"{use['bytes']:>10} bytes")
+    print(f"  {'(total)':<11} "
+          f"{sum(u['entries'] for u in usage.values()):>7} entries  "
+          f"{sum(u['bytes'] for u in usage.values()):>10} bytes")
     stale = store.stale_versions()
     if stale:
         print(f"  {len(stale)} stale version dir(s) — run "
@@ -788,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="manage the persistent artifact store "
                       "(REPRO_CACHE_DIR)")
     cache.add_argument("action", choices=("stats", "clear", "gc"),
-                       help="stats: usage + lifetime hit/miss counters; "
+                       help="stats: on-disk usage per family; "
                             "clear: drop every entry; gc: reclaim stale "
                             "tool versions, abandoned temp files, and "
                             "(with --max-age-days) old entries")
@@ -796,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="gc entries older than this many days")
     cache.add_argument("--json", action="store_true",
                        help="with 'stats': machine-readable JSON "
-                            "(per-family usage and counters)")
+                            "(per-family usage)")
     cache.set_defaults(func=cmd_cache)
 
     runs = sub.add_parser(

@@ -30,7 +30,7 @@ from .stralloc import STRALLOC_DECLARATIONS, STRALLOC_FUNCTIONS
 from .strtransform import REPLACEMENT_PATTERNS, SafeTypeReplacement, apply_str
 from .transform import (
     PRECONDITION_FAILED, SiteOutcome, TRANSFORMED, TransformResult,
-    Transformation, sort_outcomes, verify_output_parses,
+    Transformation, sort_outcomes,
 )
 from .validate import (
     DifferentialInput, InputVerdict, VERDICTS, ValidationReport,
@@ -53,7 +53,7 @@ __all__ = [
     "STRALLOC_DECLARATIONS", "STRALLOC_FUNCTIONS",
     "REPLACEMENT_PATTERNS", "SafeTypeReplacement", "apply_str",
     "PRECONDITION_FAILED", "SiteOutcome", "TRANSFORMED", "TransformResult",
-    "Transformation", "sort_outcomes", "verify_output_parses",
+    "Transformation", "sort_outcomes",
     "DifferentialInput", "InputVerdict", "VERDICTS", "ValidationReport",
     "classify", "default_inputs", "fuzz_inputs", "validate_pair",
     "validate_result",

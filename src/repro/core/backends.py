@@ -553,8 +553,8 @@ def arbitrate_file(text: str, filename: str,
             candidate.reason = "no site passed its preconditions"
         else:
             with profile.stage("verify"):
-                candidate.parses = session.check_parses(
-                    result.new_text, filename)
+                candidate.parses = session.verify(
+                    result.new_text, filename) is None
             if not candidate.parses:
                 candidate.status = CANDIDATE_REJECTED
                 candidate.reason = "transformed text does not parse"
@@ -562,7 +562,7 @@ def arbitrate_file(text: str, filename: str,
                 try:
                     faults.check("validate", filename)
                     # Judge wall time belongs to the validate stage
-                    # (check_parses above is charged to verify); without
+                    # (the parse check above is charged to verify); without
                     # the wrapper it leaked into the parent stage.
                     with profile.stage("validate"):
                         candidate.validation = _judge(

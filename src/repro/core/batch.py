@@ -347,7 +347,7 @@ def _run_stages(task: FileTask, session: AnalysisSession,
         try:
             faults.check("verify", task.filename)
             if changed:
-                _unit, parse_error = session.try_parse(text, task.filename)
+                parse_error = session.verify(text, task.filename)
                 parses = parse_error is None
                 if parse_error is not None:
                     diagnostics.append(diagnostic_from_exception(

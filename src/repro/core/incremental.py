@@ -354,8 +354,8 @@ class _StageRunner:
         transformation = self.spec.make(reduced, self.filename, session,
                                         reserved)
         result = transformation.run()
-        if result.changed and not session.check_parses(result.new_text,
-                                                       self.filename):
+        if result.changed and session.try_parse(
+                result.new_text, self.filename)[1] is not None:
             raise _Fallback("reduced-output-does-not-parse")
         return _split_records(reduced, spans, transformation, result)
 
@@ -519,11 +519,7 @@ class IncrementalEngine:
                                     session=session)
         str_result = str_t.run()
         final = str_result.new_text
-        if final == pp:
-            parses = True
-        else:
-            _unit, parse_error = session.try_parse(final, self.filename)
-            parses = parse_error is None
+        parses = final == pp or session.verify(final, self.filename) is None
         validation = None
         if self.validate and parses:
             validation = self.validator.validate(pp, final, None,

@@ -495,14 +495,10 @@ def gc_runs(*, max_age_days: float | None = None,
     ``max_age_days`` removes runs whose directory mtime is older;
     ``keep`` retains only the newest N runs.  Both ``None`` removes
     nothing (callers must opt in — run directories are the audit
-    trail)."""
+    trail).  Only directories :func:`list_runs` recognises are runs;
+    anything else under ``root`` is never touched."""
     root = os.path.abspath(root if root is not None else runs_root())
-    try:
-        names = sorted(os.listdir(root))
-    except OSError:
-        return {"removed_runs": 0, "freed_bytes": 0}
-    dirs = [name for name in names
-            if os.path.isdir(os.path.join(root, name))]
+    dirs = [run["run_id"] for run in list_runs(root)]
     doomed: set[str] = set()
     if keep is not None and keep >= 0 and len(dirs) > keep:
         doomed.update(dirs[: len(dirs) - keep])

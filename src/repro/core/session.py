@@ -4,14 +4,17 @@ Every pipeline stage — preprocessing, SLR, STR, the post-transform
 "still parses" verify, and the VM's parse-bind-typecheck prologue —
 consumes C text through one :class:`AnalysisSession`.  The session keys
 parsed units by content hash, so a text that any stage has already
-processed is never parsed, bound, or typechecked again: SLR's input unit
-is reused by the VM's "before" run, STR's output unit by the verify step
-and the "after" run, and repeated evaluation passes over the same corpus
-hit the cache outright.
+processed is never parsed, bound, or typechecked again within a
+process: SLR's input unit is reused by the VM's "before" run, STR's
+output unit by the verify step and the "after" run, and repeated
+evaluation passes over the same corpus hit the cache outright.
 
 Cached units are *annotated* (symbols bound, expression types assigned)
 and carry a lazy :class:`~repro.analysis.ProgramAnalysis`, so the heavy
 flow analyses are still only built for the stages that query them.
+Units live in memory only.  What a later process needs from a parse is
+the verify verdict, and :meth:`AnalysisSession.verify` persists just
+that: a text that parsed once is never parsed again to learn it parses.
 
 A module-level default session (:func:`get_session`) serves code that
 does not thread a session explicitly; worker processes forked by the
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from ..analysis import ProgramAnalysis
 from ..cfront.cache import (
     CacheStats, ContentCache, content_key, preprocess_cached,
-    snapshot_stats,
 )
 from ..cfront.parser import parse_translation_unit
 from ..cfront.preprocessor import PreprocessedSource
@@ -40,6 +42,12 @@ class ParsedUnit:
     filename: str
     unit: object                    # ast.TranslationUnit
     analysis: ProgramAnalysis
+
+
+#: Verify verdicts, persisted: an entry means "this text parses".  A
+#: failing text raises out of the build, so it is never stored and its
+#: diagnostic is recomputed the same way on every run.
+_VERIFY_CACHE = ContentCache("verify", family="verify")
 
 
 class AnalysisSession:
@@ -60,7 +68,7 @@ class AnalysisSession:
         #: drivers that are not told ``validate=`` explicitly fall back
         #: to this flag (see :func:`repro.core.batch.apply_batch`).
         self.validate = validate
-        self._parse_cache = ContentCache(cache_name, family="parse")
+        self._parse_cache = ContentCache(cache_name)
 
     # ------------------------------------------------------------ pipeline
 
@@ -108,24 +116,33 @@ class AnalysisSession:
         except Exception as exc:
             return None, exc
 
-    def check_parses(self, text: str, filename: str = "<transformed>") -> bool:
-        """The paper's 'no compilation errors' verify, cache-backed.
+    def verify(self, text: str, filename: str = "<transformed>"
+               ) -> Exception | None:
+        """The paper's 'no compilation errors' check: ``None`` when
+        ``text`` parses, else the parse error.
 
-        A transformed text that equals its input (no edits queued) is a
-        guaranteed cache hit; a changed text is parsed once and the unit
-        is then reused by any downstream consumer (e.g. the VM run).
+        A success is remembered across processes, so a warm run learns
+        the verdict without loading or building an AST; a miss parses
+        through :meth:`try_parse` and leaves the unit in memory for
+        downstream consumers (e.g. the VM run).
         """
-        return self.try_parse(text, filename)[0] is not None
+        def build() -> bool:
+            error = self.try_parse(text, filename)[1]
+            if error is not None:
+                raise error
+            return True
+
+        try:
+            _VERIFY_CACHE.get_or_build(content_key("verify", text), build)
+        except Exception as exc:
+            return exc
+        return None
 
     # ------------------------------------------------------------ counters
 
     @property
     def parse_stats(self) -> CacheStats:
         return self._parse_cache.stats
-
-    def stats_snapshot(self) -> dict[str, CacheStats]:
-        """Counters for every frontend cache plus this session's parses."""
-        return snapshot_stats()
 
     def clear(self) -> None:
         self._parse_cache.clear()

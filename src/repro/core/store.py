@@ -2,23 +2,26 @@
 
 The in-memory LRUs in :mod:`repro.cfront.cache` die with the process and
 are never shared between fork-pool workers or successive CLI runs, yet
-everything the pipeline computes — preprocess outputs, annotated parse
-results, SLR/STR transform outputs, differential-oracle verdicts and VM
-execution results — is a pure function of (input content, tool version).
-This module persists those artifacts on disk so that every process that
-ever sees the same content gets them for one ``open`` + ``unpickle``:
+everything the pipeline computes — preprocess outputs, SLR/STR and
+backend transform outputs, verify verdicts, differential-oracle verdicts
+and VM execution results — is a pure function of (input content, tool
+version).  This module persists those artifacts on disk so that every
+process that ever sees the same content gets them for one ``open`` +
+``unpickle``.  Parsed ASTs are not among them: they stay in memory, and
+a later run reads the verify verdict instead of an AST.
 
 * **layout** — ``REPRO_CACHE_DIR`` (default ``~/.cache/repro``) holds one
-  version directory per (schema, tool fingerprint); inside it, one
-  subdirectory per artifact family (``preprocess``, ``parse``, ``slr``,
-  ``str``, ``validate``, ``execute``), *sharded* by key prefix into
+  version directory per (schema, tool fingerprint), named
+  ``v<schema>-<fingerprint>``; inside it, one subdirectory per artifact
+  family (:data:`FAMILIES`), *sharded* by key prefix into
   :data:`SHARDS` subdirectories (``s000`` … ``s015``) so parallel
   workers spread their renames and directory scans over 16 directories
   per family instead of contending on one.  A code change anywhere in
   the package changes the fingerprint
   (:func:`repro.fingerprint.tool_fingerprint`), so entries computed by
   an older checkout are never consulted; ``repro cache gc`` reclaims
-  them.
+  them.  ``clear`` and ``gc`` only ever touch version directories, so
+  run journals and anything else sharing the cache root survive.
 * **crash-safe concurrent access** — writers pickle to a uniquely named
   temp file in the same directory and publish with :func:`os.replace`
   (atomic rename).  Racing writers both publish complete entries (last
@@ -28,7 +31,8 @@ ever sees the same content gets them for one ``open`` + ``unpickle``:
 * **layering** — :class:`~repro.cfront.cache.ContentCache` consults this
   store between its memory LRU and the compute function (memory → disk →
   compute), so the hot path is unchanged and the disk layer is invisible
-  to callers.
+  to callers.  Its :class:`~repro.cfront.cache.CacheStats` count the
+  loads, hits and bytes; the store itself keeps no counters.
 
 Environment knobs:
 
@@ -40,12 +44,10 @@ Environment knobs:
 
 from __future__ import annotations
 
-import atexit
 import errno
-import io
-import json
 import os
 import pickle
+import re
 import shutil
 import time
 import uuid
@@ -61,15 +63,16 @@ from . import faults
 #: policy change).
 SCHEMA_VERSION = 1
 
-#: Artifact families the pipeline persists.  ``func`` holds
-#: function-granular incremental artifacts — per-component preprocessed
-#: renders and transform outcomes keyed on (stage, function token hash,
-#: headers/preamble fingerprint) — so an unchanged function hits disk
-#: across edits even though the whole-file keys all miss.
+#: Artifact families the pipeline persists.  ``verify`` holds one
+#: marker per text known to parse (failures are never stored).
+#: ``func`` holds function-granular incremental artifacts — per-component
+#: preprocessed renders and transform outcomes keyed on (stage, function
+#: token hash, headers/preamble fingerprint) — so an unchanged function
+#: hits disk across edits even though the whole-file keys all miss.
 #: ``quarantine`` holds poison-file records (content hash → diagnostic)
 #: written by journaled batch runs — the fingerprint-salted version dir
 #: means a tool change releases every quarantined file automatically.
-FAMILIES = ("preprocess", "parse", "slr", "str", "backend", "validate",
+FAMILIES = ("preprocess", "verify", "slr", "str", "backend", "validate",
             "execute", "func", "quarantine")
 
 #: Abandoned temp files older than this are garbage (a crashed writer);
@@ -81,8 +84,9 @@ TMP_MAX_AGE_S = 300.0
 #: staying negligible as directory overhead.
 SHARDS = 16
 
-#: The counter fields every per-family tally carries.
-COUNTER_FIELDS = ("hits", "misses", "bytes_read", "bytes_written")
+#: The shape of a version directory's name (see ``version_dir``); the
+#: only directories under the cache root that ``clear`` and ``gc`` touch.
+_VERSION_DIR = re.compile(r"v\d+-.+")
 
 
 def default_cache_dir() -> str:
@@ -99,10 +103,6 @@ def disk_enabled() -> bool:
     and ``REPRO_DISK_CACHE=0`` (disk layer only) both disable it."""
     return caches_enabled() \
         and os.environ.get("REPRO_DISK_CACHE", "1") != "0"
-
-
-def _empty_counter() -> dict[str, int]:
-    return {field: 0 for field in COUNTER_FIELDS}
 
 
 class ArtifactStore:
@@ -122,10 +122,6 @@ class ArtifactStore:
             else tool_fingerprint()
         self.version_dir = os.path.join(
             self.root, f"v{SCHEMA_VERSION}-{self.fingerprint}")
-        #: Live per-family counters for *this* process.
-        self.counters: dict[str, dict[str, int]] = {}
-        self._counter_token = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        self._flush_registered = False
         #: Operations that already warned (one warning per operation per
         #: process — a read-only or full cache dir degrades every call).
         self._warned: set[str] = set()
@@ -161,13 +157,6 @@ class ArtifactStore:
         return os.path.join(self.version_dir, family,
                             self.shard_label(key), key + ".pkl")
 
-    def _family_counter(self, family: str) -> dict[str, int]:
-        counter = self.counters.get(family)
-        if counter is None:
-            counter = _empty_counter()
-            self.counters[family] = counter
-        return counter
-
     # ------------------------------------------------------------ access
 
     def load(self, family: str, key: str) -> tuple[bool, object, int]:
@@ -177,32 +166,25 @@ class ArtifactStore:
         whose class layout changed under a stale fingerprint override —
         is a miss; corrupt files are unlinked so they are rebuilt once.
         """
-        counter = self._family_counter(family)
-        self._register_flush()
         path = self._entry_path(family, key)
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
         except FileNotFoundError:
-            counter["misses"] += 1
             return False, None, 0
         except OSError as exc:
             self._warn_once("read", exc)
-            counter["misses"] += 1
             return False, None, 0
         if faults.faults_enabled():
             data = faults.corrupt_entry(key, data)
         try:
             value = pickle.loads(data)
         except Exception:
-            counter["misses"] += 1
             try:
                 os.unlink(path)
             except OSError:
                 pass
             return False, None, 0
-        counter["hits"] += 1
-        counter["bytes_read"] += len(data)
         return True, value, len(data)
 
     def _publish(self, path: str, data: bytes) -> bool:
@@ -244,8 +226,6 @@ class ArtifactStore:
             return 0
         if not self._publish(self._entry_path(family, key), data):
             return 0
-        self._family_counter(family)["bytes_written"] += len(data)
-        self._register_flush()
         return len(data)
 
     # ----------------------------------------------------------- summary
@@ -271,35 +251,33 @@ class ArtifactStore:
                 out[family] = {"entries": entries, "bytes": nbytes}
         return out
 
-    def stale_versions(self) -> list[str]:
-        """Version directories built by other fingerprints/schemas."""
-        current = os.path.basename(self.version_dir)
+    def _version_dirs(self) -> list[str]:
+        """Every version directory under the root, this one included;
+        nothing else under the root belongs to the store."""
         try:
             names = sorted(os.listdir(self.root))
         except OSError:
             return []
         return [os.path.join(self.root, name) for name in names
-                if name.startswith("v") and name != current
+                if _VERSION_DIR.fullmatch(name)
                 and os.path.isdir(os.path.join(self.root, name))]
+
+    def stale_versions(self) -> list[str]:
+        """Version directories built by other fingerprints/schemas."""
+        return [path for path in self._version_dirs()
+                if path != self.version_dir]
 
     # -------------------------------------------------------- management
 
     def clear(self) -> tuple[int, int]:
-        """Remove every entry (all versions); returns (files, bytes).
+        """Remove every version directory; returns (files, bytes).
 
         Tolerates a concurrent clear/gc: entries that vanish between
         the walk and the removal are simply not double-counted.
         """
         files = 0
         nbytes = 0
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return 0, 0
-        for name in names:
-            full = os.path.join(self.root, name)
-            if not os.path.isdir(full):
-                continue
+        for full in self._version_dirs():
             for dirpath, _dirnames, filenames in os.walk(full):
                 for filename in filenames:
                     try:
@@ -367,7 +345,7 @@ class ArtifactStore:
                 "removed_dirs": self._prune_empty_dirs()}
 
     def _prune_empty_dirs(self) -> int:
-        """Remove empty family/shard/counter directories bottom-up.
+        """Remove empty family/shard directories bottom-up.
 
         ``os.rmdir`` is the race-safety here: it only ever removes an
         *empty* directory and fails cleanly (ENOTEMPTY/ENOENT ignored)
@@ -385,80 +363,6 @@ class ArtifactStore:
                 continue
             removed += 1
         return removed
-
-    # ---------------------------------------------------------- counters
-
-    def _register_flush(self) -> None:
-        if not self._flush_registered:
-            self._flush_registered = True
-            atexit.register(self.flush_counters)
-
-    def flush_counters(self) -> None:
-        """Persist this process's lifetime hit/miss/bytes counters.
-
-        Each process owns one uniquely named counter file and rewrites
-        it atomically with cumulative per-family totals, so concurrent
-        runs never contend on a shared counter file and ``repro cache
-        stats`` in a *later* process can still report what warm runs
-        achieved.
-        """
-        if not any(any(c.values()) for c in self.counters.values()):
-            return
-        directory = os.path.join(self.version_dir, "counters")
-        path = os.path.join(directory, self._counter_token + ".json")
-        tmp = path + ".tmp"
-        try:
-            os.makedirs(directory, exist_ok=True)
-            with io.open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(self.counters, handle)
-            os.replace(tmp, path)
-        except OSError as exc:
-            self._warn_once("counter-flush", exc)
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def _each_counter_file(self):
-        """Yield every *other* process's parsed counter payload."""
-        directory = os.path.join(self.version_dir, "counters")
-        try:
-            names = sorted(os.listdir(directory))
-        except OSError:
-            names = []
-        for name in names:
-            if not name.endswith(".json") \
-                    or name == self._counter_token + ".json":
-                continue
-            try:
-                with io.open(os.path.join(directory, name),
-                             encoding="utf-8") as handle:
-                    yield json.load(handle)
-            except (OSError, ValueError):
-                continue
-
-    @staticmethod
-    def _merge_counters(into: dict, families) -> None:
-        if not isinstance(families, dict):
-            return
-        for family, counter in families.items():
-            if not isinstance(counter, dict):
-                continue
-            target = into.setdefault(family, _empty_counter())
-            for field in target:
-                try:
-                    target[field] += int(counter.get(field, 0))
-                except (TypeError, ValueError):
-                    pass
-
-    def persisted_counters(self) -> dict[str, dict[str, int]]:
-        """Lifetime per-family counters merged over every recorded
-        process, including this one's live (not yet flushed) numbers."""
-        merged: dict[str, dict[str, int]] = {}
-        for payload in self._each_counter_file():
-            self._merge_counters(merged, payload)
-        self._merge_counters(merged, self.counters)
-        return merged
 
 
 # ---------------------------------------------------------- default store
@@ -479,7 +383,5 @@ def reset_store() -> ArtifactStore:
     """Rebuild the default store from the current environment (tests
     monkeypatch ``REPRO_CACHE_DIR``/``REPRO_FINGERPRINT`` then reset)."""
     global _STORE
-    if _STORE is not None:
-        _STORE.flush_counters()
     _STORE = ArtifactStore()
     return _STORE

@@ -193,18 +193,3 @@ def sort_outcomes(outcomes: list[SiteOutcome]) -> list[SiteOutcome]:
     must be byte-identical however the sites were visited."""
     return sorted(outcomes,
                   key=lambda o: (o.line, o.target, o.transformation))
-
-
-def verify_output_parses(result: TransformResult,
-                         filename: str = "<transformed>",
-                         session: AnalysisSession | None = None) -> bool:
-    """The paper's 'no compilation errors' check: re-parse the output.
-
-    Runs through the session's content-keyed cache, so verifying a text
-    that any stage already parsed costs one hash lookup.
-    """
-    session = session if session is not None else get_session()
-    if not session.check_parses(result.new_text, filename):
-        from ..cfront.parser import parse_translation_unit
-        parse_translation_unit(result.new_text, filename)  # raise the error
-    return True

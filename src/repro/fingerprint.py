@@ -1,6 +1,6 @@
 """Tool-version fingerprint shared by every cache layer.
 
-A cached artifact (preprocess output, pickled parse, transform result,
+A cached artifact (preprocess output, transform result, verify or
 validation verdict) is only valid for the code that produced it: a
 rewriter bugfix must invalidate every entry an older checkout computed.
 The fingerprint is a digest over the *contents* of every Python source

@@ -68,6 +68,19 @@ class TestBadCorpus:
         assert payload["status_counts"]["failed"] == 4
         assert payload["status_counts"]["ok"] == 1
 
+    def test_warm_rerun_diagnostics_identical(self, run_batch,
+                                              fresh_store):
+        """Failures are never stored, so a rerun on the same store
+        recomputes every diagnostic, traceback included, identically."""
+        from repro.cfront.cache import clear_all_caches
+        from repro.core.session import reset_session
+        _code, _captured, cold = run_batch()
+        clear_all_caches()
+        reset_session()
+        _code, _captured, warm = run_batch()
+        assert fresh_store.usage()["preprocess"]["entries"] >= 1
+        assert warm == cold
+
     def test_diagnostics_table_rendered(self, run_batch):
         _code, captured, _payload = run_batch()
         assert "failures by stage:" in captured.out

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -135,7 +136,6 @@ class TestCacheCommand:
         assert code == 0
         assert "preprocess" in out and "slr" in out
         assert "(total)" in out
-        assert "misses=" in out             # live counters rendered
 
     def test_stats_json_payload(self, fresh_store, batch_dir):
         from repro.cfront.cache import clear_all_caches
@@ -146,16 +146,51 @@ class TestCacheCommand:
         code, out, _ = run_cli(["cache", "stats", "--json"])
         assert code == 0
         payload = json.loads(out)
-        assert sorted(payload) == ["counters", "fingerprint", "root",
+        assert sorted(payload) == ["fingerprint", "root",
                                    "schema_version", "stale_versions",
                                    "usage"]
-        assert payload["counters"]["preprocess"]["hits"] > 0
+        assert payload["usage"]["preprocess"]["entries"] > 0
 
     def test_clear_empties_store(self, fresh_store, batch_dir):
         run_cli(["batch", batch_dir])
         code, out, _ = run_cli(["cache", "clear"])
         assert code == 0 and "cleared" in out
         assert fresh_store.usage() == {}
+
+    def test_clear_keeps_runs_and_foreign_directories(
+            self, fresh_store, batch_dir, monkeypatch):
+        # Run journals default to <cache dir>/runs, and the cache dir
+        # may be shared: clear owns only its version directories.
+        monkeypatch.delenv("REPRO_RUN_DIR", raising=False)
+        assert run_cli(["batch", batch_dir])[0] == 0
+        notes = os.path.join(fresh_store.root, "unrelated-project",
+                             "notes.txt")
+        os.makedirs(os.path.dirname(notes))
+        with open(notes, "w") as handle:
+            handle.write("keep me\n")
+        code, out, _ = run_cli(["cache", "clear"])
+        assert code == 0 and "cleared" in out
+        assert fresh_store.usage() == {}
+        assert not os.path.exists(fresh_store.version_dir)
+        assert os.path.exists(notes)
+        code, out, _ = run_cli(["runs", "list"])
+        assert code == 0 and "no runs" not in out
+        code, _, err = run_cli(["batch", batch_dir, "--resume", "latest"])
+        assert code == 0, err
+
+    def test_gc_drops_only_version_directories(self, fresh_store):
+        from repro.core.store import ArtifactStore
+        stale = ArtifactStore(fresh_store.root, fingerprint="older")
+        stale.store("slr", "abcd", "old-entry")
+        clip = os.path.join(fresh_store.root, "videos", "clip.mp4")
+        os.makedirs(os.path.dirname(clip))
+        with open(clip, "wb") as handle:
+            handle.write(b"\x00" * 16)
+        code, out, _ = run_cli(["cache", "gc"])
+        assert code == 0
+        assert "dropped 1 stale version dir(s)" in out
+        assert not os.path.exists(stale.version_dir)
+        assert os.path.exists(clip)
 
     def test_gc_runs_clean(self, fresh_store, batch_dir):
         run_cli(["batch", batch_dir])

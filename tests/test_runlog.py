@@ -511,6 +511,20 @@ class TestRunsCli:
         code, out, _ = run_cli(["runs", "list"])
         assert "no runs under" in out
 
+    def test_gc_leaves_directories_that_are_not_runs(self, tmp_path):
+        photo = tmp_path / "runs" / "photos" / "cat.jpg"
+        photo.parent.mkdir(parents=True)
+        photo.write_bytes(b"\xff\xd8")
+        code, out, _ = run_cli(["runs", "list"])
+        assert "no runs under" in out
+        code, out, _ = run_cli(["runs", "gc", "--keep", "0"])
+        assert code == 0
+        assert "removed 0 run(s)" in out
+        self._journaled_run()
+        code, out, _ = run_cli(["runs", "gc", "--keep", "0"])
+        assert "removed 1 run(s)" in out
+        assert photo.exists()
+
 
 class TestBatchCliJournal:
     @pytest.fixture(autouse=True)

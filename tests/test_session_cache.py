@@ -144,12 +144,31 @@ class TestAnalysisSession:
         assert fn.name == "f"
         assert parsed.analysis.symbols.locals_of["f"]
 
-    def test_check_parses(self):
+    def test_verify_stores_successes_only(self, fresh_store):
+        from repro.cfront.source import ParseError
+        from repro.core.diagnostics import diagnostic_from_exception
         session = AnalysisSession(cache_name="t-verify")
-        assert session.check_parses("int x;\n")
-        assert not session.check_parses("int x = ;\n")
-        # The failed parse must not poison the cache.
-        assert not session.check_parses("int x = ;\n")
+        assert session.verify("int x;\n") is None
+        usage = fresh_store.usage()
+        assert list(usage) == ["verify"]
+        assert usage["verify"]["entries"] == 1
+        # A new process learns the verdict without parsing.
+        clear_all_caches()
+        parses_before = session.parse_stats.misses
+        assert session.verify("int x;\n") is None
+        assert session.parse_stats.misses == parses_before
+        # A failure is returned, never stored: the same diagnostic,
+        # traceback included, is recomputed cold and warm.
+        first = session.verify("int x = ;\n", "bad.c")
+        clear_all_caches()
+        second = session.verify("int x = ;\n", "bad.c")
+        assert isinstance(first, ParseError)
+        assert isinstance(second, ParseError)
+        cold = diagnostic_from_exception("verify", "bad.c", first)
+        warm = diagnostic_from_exception("verify", "bad.c", second)
+        assert cold.location == "bad.c:1:9"
+        assert warm.as_dict() == cold.as_dict()
+        assert fresh_store.usage()["verify"]["entries"] == 1
 
     def test_transformed_output_not_served_stale(self):
         """SLR's output text differs from its input, so the verify parse

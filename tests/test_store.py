@@ -41,9 +41,8 @@ class TestArtifactStore:
 
     def test_missing_entry_is_miss(self, tmp_path):
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
-        hit, value, read = store.load("parse", "feed")
+        hit, value, read = store.load("verify", "feed")
         assert (hit, value, read) == (False, None, 0)
-        assert store.counters["parse"]["misses"] == 1
 
     def test_corrupt_entry_is_miss_and_unlinked(self, tmp_path):
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
@@ -91,7 +90,7 @@ class TestArtifactStore:
     def test_clear_reports_files_and_bytes(self, tmp_path):
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
         written = store.store("slr", "abcd", "v1") \
-            + store.store("parse", "efgh", "v2")
+            + store.store("verify", "efgh", True)
         files, nbytes = store.clear()
         assert files == 2 and nbytes == written
         assert store.usage() == {}
@@ -104,22 +103,17 @@ class TestArtifactStore:
         usage = store.usage()
         assert usage["slr"]["entries"] == 2
         assert usage["execute"]["entries"] == 1
-        assert "parse" not in usage
+        assert "verify" not in usage
 
     def test_version_dir_tracks_schema_and_fingerprint(self, tmp_path):
         store = ArtifactStore(str(tmp_path), fingerprint="cafe")
         assert os.path.basename(store.version_dir) \
             == f"v{SCHEMA_VERSION}-cafe"
 
-    def test_counters_persist_across_processes(self, tmp_path):
-        writer = ArtifactStore(str(tmp_path), fingerprint="t1")
-        writer.store("slr", "abcd", "value")
-        writer.load("slr", "abcd")
-        writer.flush_counters()
-        later = ArtifactStore(str(tmp_path), fingerprint="t1")
-        merged = later.persisted_counters()
-        assert merged["slr"]["hits"] == 1
-        assert merged["slr"]["bytes_written"] > 0
+    def test_no_ast_family(self):
+        from repro.core.store import FAMILIES
+        assert "parse" not in FAMILIES
+        assert len(FAMILIES) == 9
 
 
 class TestConcurrentWriters:
@@ -172,19 +166,6 @@ class TestShardedLayout:
         assert a.shard_label(key) == b.shard_label(key)
         # Only the first 8 chars matter: same prefix, same shard.
         assert a.shard_label("abcdef01" + "zz" * 8) == a.shard_label(key)
-
-    def test_pre_shard_counter_files_still_merge(self, tmp_path):
-        # A counter file is a bare per-family dict.
-        import json
-        store = ArtifactStore(str(tmp_path), fingerprint="t1")
-        directory = os.path.join(store.version_dir, "counters")
-        os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, "123-old.json"), "w") as fh:
-            json.dump({"slr": {"hits": 7, "misses": 0,
-                               "bytes_read": 70, "bytes_written": 0}},
-                      fh)
-        merged = store.persisted_counters()
-        assert merged["slr"]["hits"] == 7
 
     def test_gc_prunes_empty_directories(self, tmp_path):
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
@@ -350,7 +331,6 @@ class TestBatchIntegration:
         program = SourceProgram("warm", {"a.c": src})
         apply_batch(program, jobs=1, validate=False)
         assert fresh_store.usage()["preprocess"]["entries"] >= 1
-        assert fresh_store.usage()["parse"]["entries"] >= 1
 
     def test_warm_cross_process_replays_from_disk(self, fresh_store):
         """Simulate a new process (empty memory caches, same store):
@@ -366,7 +346,7 @@ class TestBatchIntegration:
         warm = apply_batch(SourceProgram("xp", {"a.c": src}),
                            jobs=1, validate=True)
         stats = warm.stats
-        disk_hits = stats.preprocess.disk_hits + stats.parse.disk_hits \
+        disk_hits = stats.preprocess.disk_hits \
             + stats.slr.disk_hits + stats.str_.disk_hits \
             + stats.validate.disk_hits
         assert disk_hits > 0
@@ -374,6 +354,39 @@ class TestBatchIntegration:
         assert warm.reports[0].final_text == cold.reports[0].final_text
         assert warm.reports[0].validation.counts() \
             == cold.reports[0].validation.counts()
+
+    @pytest.mark.parametrize("backends", [None, ("slr", "str", "s3lib")],
+                             ids=["slr-str", "arbitration"])
+    def test_warm_rerun_parses_nothing(self, fresh_store, backends):
+        """A new process over a warm store learns every verify verdict
+        from the store: it builds no AST and loads none, and its
+        reports match the cold run's."""
+        from repro.core.batch import SourceProgram, apply_batch
+        from repro.core.session import reset_session
+        files = {f"{name}.c": BROKEN_TMPL.format(tag=f"no-ast-{name}")
+                 for name in ("a", "b")}
+
+        def run():
+            result = apply_batch(SourceProgram("no-ast", dict(files)),
+                                 jobs=1, validate=True, backends=backends)
+            return [(r.filename, r.final_text, r.parses, r.status,
+                     [d.as_dict() for d in r.diagnostics],
+                     r.validation.as_dict() if r.validation else None,
+                     r.arbitration.as_dict() if r.arbitration else None)
+                    for r in result.reports]
+
+        cold = run()
+        stored = fresh_store.usage()
+        assert stored["verify"]["entries"] >= 1
+        assert "parse" not in stored
+        clear_all_caches()
+        session = reset_session()
+        warm = run()
+        assert session.parse_stats.misses == 0
+        assert fresh_store.usage() == stored        # nothing new written
+        assert not os.path.exists(
+            os.path.join(fresh_store.version_dir, "parse"))
+        assert warm == cold
 
     def test_validate_seed_changes_miss_cache(self, fresh_store,
                                               monkeypatch):

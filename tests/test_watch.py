@@ -183,7 +183,6 @@ def test_cli_cache_stats_reports_func_family(tmp_path, capsys,
     assert main(["cache", "stats"]) == 0
     out = capsys.readouterr().out
     assert "func" in out
-    assert "this process" in out
 
 
 class TestDeletedWhileWatched:
