@@ -398,14 +398,10 @@ class SerialExecutor:
             yield index, transform_file(task)
 
 
-#: How often an idle pool worker wakes to check it has not been
-#: orphaned by a dead scheduler.
-_ORPHAN_POLL_S = 1.0
-
-
-def _pool_worker(inbox, result_queue) -> None:
+def _pool_worker(inbox, result_queue, lifeline) -> None:
     """Supervised-pool worker loop: pull tasks from this worker's own
-    inbox until the ``None`` sentinel, ship each report back pre-pickled.
+    inbox, ship each report back pre-pickled, and leave when the
+    scheduler closes the lifeline.
 
     Two protocol choices keep supervision race-free.  The parent assigns
     tasks to a *specific* worker's inbox and records the assignment
@@ -418,27 +414,25 @@ def _pool_worker(inbox, result_queue) -> None:
     ordinary contained failure instead of an invisible serialization
     error.
 
-    Idle waits poll rather than block: if the scheduler process dies
-    without cleanup (crash, SIGKILL, an injected ``parent-kill`` fault),
-    the worker notices its reparenting and exits instead of blocking on
-    the inbox forever — a crashed batch must not leak a pool of orphaned
-    workers holding the terminal's pipes open.
+    An idle worker blocks on its inbox and on ``lifeline``, the read end
+    of a pipe whose write end only the scheduler holds open (see
+    :meth:`ProcessPoolExecutor._stream`).  The scheduler closes that end
+    when the batch ends, and the kernel closes it when the scheduler
+    dies without cleanup (crash, SIGKILL, an injected ``parent-kill``
+    fault).  Either way the worker sees end-of-file and exits at once;
+    once the lifeline is closed no result will be read, so a task still
+    in the inbox is dropped.  A crashed batch therefore leaves no
+    orphaned workers holding the terminal's pipes open.
     """
+    from multiprocessing.connection import wait
     faults.mark_worker()
-    parent = os.getppid()
-    reader = getattr(inbox, "_reader", None)
     while True:
         try:
-            if reader is not None:
-                while not reader.poll(_ORPHAN_POLL_S):
-                    if os.getppid() != parent:
-                        os._exit(0)         # scheduler died; orphaned
-            item = inbox.get()
+            if lifeline in wait([inbox._reader, lifeline]):
+                os._exit(0)                 # lifeline closed: batch over
+            index, task = inbox.get()
         except (EOFError, OSError):
             os._exit(0)                     # inbox torn down under us
-        if item is None:
-            return
-        index, task = item
         try:
             report = transform_file(task)
         except BaseException as exc:    # last-ditch: never lose a task
@@ -489,11 +483,13 @@ class ProcessPoolExecutor:
 
     Results stay deterministic: they are keyed by task index, so retries
     and respawns reorder nothing.
-    """
 
-    #: Supervisor poll interval: bounds watchdog latency without
-    #: busy-waiting the parent.
-    POLL_S = 0.05
+    The supervisor never polls: with nothing to collect or emit it
+    blocks until a result arrives, a worker exits (its process
+    sentinel) or the earliest watchdog or retry deadline passes.
+    Workers block on their inbox and leave when the scheduler's lifeline
+    pipe closes (see :func:`_pool_worker`).
+    """
 
     def __init__(self, jobs: int, *, timeout: float | None = None,
                  retries: int | None = None):
@@ -542,11 +538,11 @@ class ProcessPoolExecutor:
 
         __slots__ = ("inbox", "process", "task_index", "started_at")
 
-        def __init__(self, ctx, result_queue):
+        def __init__(self, ctx, result_queue, lifeline):
             self.inbox = ctx.SimpleQueue()
-            self.process = ctx.Process(target=_pool_worker,
-                                       args=(self.inbox, result_queue),
-                                       daemon=True)
+            self.process = ctx.Process(
+                target=_pool_worker,
+                args=(self.inbox, result_queue, lifeline), daemon=True)
             self.process.start()
             self.task_index: int | None = None
             self.started_at = 0.0
@@ -565,8 +561,24 @@ class ProcessPoolExecutor:
         never retains the whole batch.  Workers are spawned on demand —
         at most ``jobs``, and never more than there are tasks to hand
         out — and a spawn that follows a death is counted as a respawn.
+
+        An index is *settled* once it has a report in ``ready`` or was
+        emitted.  The watchdog or the reaper can act on a worker whose
+        result is already in the pipe and schedule a retry; the next
+        drain settles the index, and a settled index is never dispatched
+        again, retried or failed.
+
+        Workers leave when the lifeline pipe's write end closes, so only
+        this process may hold it: every ``multiprocessing`` child forked
+        while it is open — this pool's workers and those of any other
+        pool running alongside — closes its inherited copy before it
+        runs (``register_after_fork``).
         """
+        from multiprocessing.connection import wait
+        from multiprocessing.util import register_after_fork
         result_queue = ctx.SimpleQueue()
+        lifeline, lifeline_w = ctx.Pipe(duplex=False)
+        register_after_fork(lifeline_w, type(lifeline_w).close)
         workers: list[ProcessPoolExecutor._Worker] = []
         held: dict[int, FileTask] = {}
         ready: dict[int, FileTransformReport] = {}
@@ -605,42 +617,45 @@ class ProcessPoolExecutor:
                     next_pull += 1
                 self.max_inflight = max(self.max_inflight,
                                         next_pull - next_emit)
-                pending.sort()
+                pending = sorted(i for i in pending
+                                 if i in held and i not in ready)
                 for worker in workers:
                     if worker.task_index is None and pending:
                         index = pending.pop(0)
                         worker.assign(index, held[index])
                 while pending and len(workers) < self.jobs:
-                    worker = self._spawn(ctx, result_queue)
+                    worker = self._spawn(ctx, result_queue, lifeline)
                     workers.append(worker)
                     index = pending.pop(0)
                     worker.assign(index, held[index])
                 if not self._drain(result_queue, ready, workers) \
                         and not emitted:
-                    time.sleep(self.POLL_S)
+                    wait([result_queue._reader]
+                         + [worker.process.sentinel for worker in workers],
+                         self._next_deadline(workers, retry_at))
                 self._check_deadlines(held, ready, attempts, workers,
                                       pending, retry_at)
                 workers = self._reap_dead(held, ready, attempts, workers,
                                           pending, retry_at)
         finally:
-            for worker in workers:
-                if worker.process.is_alive():
-                    worker.inbox.put(None)
+            lifeline_w.close()              # idle workers see EOF, leave
+            lifeline.close()
             for worker in workers:
                 worker.process.join(timeout=2.0)
                 if worker.process.is_alive():
                     worker.process.kill()
                     worker.process.join(timeout=2.0)
 
-    def _spawn(self, ctx, result_queue):
+    def _spawn(self, ctx, result_queue, lifeline):
         if self._deaths_to_respawn > 0:
             self._deaths_to_respawn -= 1
             self.supervision["respawns"] += 1
-        return self._Worker(ctx, result_queue)
+        return self._Worker(ctx, result_queue, lifeline)
 
     def _drain(self, result_queue, results, workers) -> bool:
         """Collect every completed result currently in the pipe; returns
-        whether anything arrived (the caller sleeps briefly if not)."""
+        whether anything arrived (the caller waits for an event if
+        not)."""
         got_any = False
         while not result_queue.empty():
             index, payload = result_queue.get()
@@ -652,6 +667,19 @@ class ProcessPoolExecutor:
                 if worker.task_index == index:
                     worker.task_index = None
         return got_any
+
+    def _next_deadline(self, workers, retry_at) -> float | None:
+        """Seconds until the earliest watchdog or retry deadline, or
+        ``None`` when none is pending — then only a result or a worker
+        exit can move the batch on."""
+        deadlines = [when for when, _index in retry_at]
+        if self.timeout is not None:
+            deadlines.extend(worker.started_at + self.timeout
+                             for worker in workers
+                             if worker.task_index is not None)
+        if not deadlines:
+            return None
+        return max(0.0, min(deadlines) - time.monotonic())
 
     def _check_deadlines(self, held, ready, attempts, workers,
                          pending, retry_at) -> None:
@@ -682,11 +710,10 @@ class ProcessPoolExecutor:
         ``_deaths_to_respawn``), so an idle tail of the batch never
         forks workers it cannot feed.
         """
-        alive = [w for w in workers if w.process.is_alive()]
-        if len(alive) == len(workers):
-            return workers
+        alive = []
         for worker in workers:
             if worker.process.is_alive():
+                alive.append(worker)
                 continue
             worker.process.join(timeout=1.0)
             self._deaths_to_respawn += 1
@@ -702,6 +729,8 @@ class ProcessPoolExecutor:
 
     def _retry_or_fail(self, held, ready, attempts, pending, retry_at,
                        index: int, kind: str, message: str) -> None:
+        if index in ready or index not in held:
+            return                          # settled by a late result
         attempts[index] = attempts.get(index, 0) + 1
         if attempts[index] <= self.retries:
             self.supervision["retries"] += 1

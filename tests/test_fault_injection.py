@@ -7,7 +7,9 @@ carrying diagnostics, N−K transformed exactly as a fault-free run would
 — and the whole outcome is identical at ``jobs=1`` and ``jobs=4``.
 """
 
+import contextlib
 import os
+import signal
 
 import pytest
 
@@ -39,6 +41,21 @@ def outcome_shape(batch):
              sorted((d.stage, d.kind) for d in r.diagnostics),
              r.final_text)
             for r in batch.reports]
+
+
+@contextlib.contextmanager
+def alarm_after(seconds: int):
+    """Fail, instead of hanging the suite, when the block outlives
+    ``seconds`` — a scheduler wait that lost its deadline never wakes."""
+    def expire(signum, frame):
+        raise TimeoutError(f"batch still running after {seconds}s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)
@@ -219,6 +236,50 @@ class TestWorkerFaults:
         assert all(r.status == STATUS_FAILED for r in serial.reports)
         assert all(d.kind == KIND_TIMEOUT
                    for r in serial.reports for d in r.diagnostics)
+
+    def test_result_arriving_after_watchdog_kill_settles_file(
+            self, monkeypatch):
+        # A 1 ms budget makes the watchdog act on workers whose result
+        # may already be in the pipe.  The retry it schedules for such
+        # a file must be dropped once the next drain settles the file,
+        # not dispatched or failed after the file was emitted.
+        expected = {r.filename: r.final_text
+                    for r in apply_batch(chaos_program(40),
+                                         jobs=1).reports}
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0.001")
+        monkeypatch.setenv("REPRO_TASK_RETRIES", "2")
+        with alarm_after(120):
+            pooled = apply_batch(chaos_program(40), jobs=2)
+        assert [r.filename for r in pooled.reports] == sorted(expected)
+        for report in pooled.reports:
+            if report.status == STATUS_OK:
+                assert report.final_text == expected[report.filename]
+            else:
+                assert report.status == STATUS_FAILED
+                assert [(d.stage, d.kind)
+                        for d in report.diagnostics] == \
+                    [("worker", KIND_TIMEOUT)]
+
+    @pytest.mark.parametrize("spec,timeout,kind,counter", [
+        ("slr:hang:1.0", "0.3", KIND_TIMEOUT, "timeouts"),
+        ("str:kill:1.0", None, KIND_WORKER_DIED, "worker_deaths"),
+    ])
+    def test_deadlines_wake_scheduler_when_no_result_comes(
+            self, monkeypatch, spec, timeout, kind, counter):
+        # No attempt ever returns a result: only the watchdog deadline,
+        # a worker's exit and the retry deadline can wake the scheduler.
+        monkeypatch.setenv("REPRO_FAULTS", spec)
+        monkeypatch.setenv("REPRO_FAULT_HANG_S", "30")
+        monkeypatch.setenv("REPRO_TASK_RETRIES", "1")
+        if timeout is not None:
+            monkeypatch.setenv("REPRO_TASK_TIMEOUT", timeout)
+        with alarm_after(60):
+            pooled = apply_batch(chaos_program(3), jobs=2)
+        assert [(r.status, [(d.stage, d.kind) for d in r.diagnostics])
+                for r in pooled.reports] == \
+            [(STATUS_FAILED, [("worker", kind)])] * 3
+        assert pooled.stats.supervision[counter] == 6
+        assert pooled.stats.supervision["retries"] == 3
 
 
 class TestCorruptStoreFaults:

@@ -17,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -296,6 +297,43 @@ class TestCrashResume:
         resumed = json.load(open(resume_out))
         assert resumed["replayed"] == journaled
         assert resumed["reports"] == clean["reports"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="needs /proc to list a session's processes")
+    def test_workers_exit_when_scheduler_dies(self, tmp_path):
+        """A scheduler killed without cleanup leaves no pool workers
+        behind: they wait on a pipe only the scheduler holds open, so
+        its exit wakes them."""
+        src = tmp_path / "src"
+        src.mkdir()
+        for name, text in make_files(30, tag="-orphan").items():
+            (src / name).write_text(text)
+        env = {**os.environ, "PYTHONPATH": REPO_SRC,
+               "REPRO_FAULTS": "journal:parent-kill:0.2",
+               "REPRO_CACHE_DIR": str(tmp_path / "cache"),
+               "REPRO_RUN_DIR": str(tmp_path / "runs")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "batch", str(src), "-j", "2"],
+            env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, start_new_session=True)
+        assert proc.wait(timeout=300) == KILL_EXIT_CODE
+
+        def live_members():
+            """Processes of the batch's session that are not zombies."""
+            members = []
+            for stat in Path("/proc").glob("[0-9]*/stat"):
+                try:
+                    fields = stat.read_text().rsplit(")", 1)[1].split()
+                except OSError:
+                    continue
+                if int(fields[3]) == proc.pid and fields[0] != "Z":
+                    members.append(stat.parent.name)
+            return members
+
+        deadline = time.monotonic() + 0.5
+        while live_members() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert live_members() == []
 
 
 # ----------------------------------------------------------- quarantine

@@ -6,6 +6,7 @@ set bounded by the stream/dedup windows instead of the batch size.
 """
 
 import gc
+import time
 import weakref
 
 from repro.core.batch import (
@@ -155,6 +156,36 @@ class TestStreamSupervisionAndKnobs:
         assert [r.filename for _, r in indexed] \
             == [t.filename for t in tasks]
         assert pool.max_inflight <= 4
+
+    def test_pool_parent_never_sleeps(self, fresh_store, monkeypatch):
+        """The scheduler waits on results, worker exits and deadlines;
+        it never sleeps on a timer.  Forked workers inherit the spy but
+        record into their own copies, so only the parent's calls count."""
+        calls = []
+        monkeypatch.setattr(time, "sleep", calls.append)
+        result = apply_batch(distinct_program(8), jobs=2, validate=False)
+        assert [r.status for r in result.reports] == ["ok"] * 8
+        assert calls == []
+
+    def test_overlapping_pools_shut_down_promptly(self, fresh_store):
+        """Workers forked for a second pool must not hold the first
+        pool's lifeline open: its idle workers leave when it closes,
+        instead of waiting out the 2 s join timeout and a kill."""
+        from repro.core.batch import FileTask
+
+        def tasks(tag):
+            return iter([FileTask(f"{tag}{i}.c",
+                                  BROKEN_TMPL.format(tag=f"{tag}-{i}"),
+                                  validate=False)
+                         for i in range(3)])
+        first = ProcessPoolExecutor(2).imap(tasks("first"))
+        second = ProcessPoolExecutor(2).imap(tasks("second"))
+        next(first)
+        next(second)
+        started = time.monotonic()
+        assert len(list(first)) == 2
+        assert time.monotonic() - started < 2.0
+        assert len(list(second)) == 2
 
     def test_serial_imap_matches_map(self, fresh_store):
         from repro.core.batch import FileTask
