@@ -34,7 +34,6 @@ contract to the backend search.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 
 from ..cfront.cache import ContentCache, content_key
@@ -62,116 +61,6 @@ CANDIDATE_REJECTED = "rejected"            # semantics-changed / no parse
 CANDIDATE_NO_CHANGE = "no-change"          # sites found, none transformable
 CANDIDATE_NOT_APPLICABLE = "not-applicable"  # no candidate sites at all
 CANDIDATE_ERROR = "error"                  # backend raised (contained)
-CANDIDATE_SKIPPED = "breaker-skipped"      # circuit breaker open
-
-CANDIDATE_STATUSES = (
-    CANDIDATE_SELECTED, CANDIDATE_RUNNER_UP, CANDIDATE_REJECTED,
-    CANDIDATE_NO_CHANGE, CANDIDATE_NOT_APPLICABLE, CANDIDATE_ERROR,
-    CANDIDATE_SKIPPED,
-)
-
-
-# -------------------------------------------------------- circuit breaker
-
-#: Breaker states (the classic three-state pattern).
-BREAKER_CLOSED = "closed"          # healthy: candidates run normally
-BREAKER_OPEN = "open"              # tripped: candidates skipped
-BREAKER_HALF_OPEN = "half-open"    # cooldown over: one trial allowed
-
-
-def breaker_threshold() -> int:
-    """Consecutive operational failures (backend raised, candidate did
-    not parse, or the judge itself errored) that open a backend's
-    breaker.  ``REPRO_BREAKER_THRESHOLD`` (default 10); 0 disables
-    breakers entirely."""
-    from .envknobs import int_knob
-    return int_knob("REPRO_BREAKER_THRESHOLD", 10, minimum=0)
-
-
-def breaker_cooldown() -> int:
-    """Files an open breaker skips before half-opening for one trial
-    (``REPRO_BREAKER_COOLDOWN``, default 5, min 1).  Measured in files,
-    not wall time, so serial and replayed runs behave identically."""
-    from .envknobs import int_knob
-    return int_knob("REPRO_BREAKER_COOLDOWN", 5, minimum=1)
-
-
-class _BreakerState:
-    """One backend's breaker.  Per-process state: each fork-pool worker
-    trips its own breaker from the failures it witnesses — there is no
-    cross-process coordination, so a healthy run (no failures anywhere)
-    is bit-for-bit identical at any jobs count."""
-
-    __slots__ = ("state", "failures", "cooldown_left", "skips",
-                 "trips", "warned")
-
-    def __init__(self) -> None:
-        self.state = BREAKER_CLOSED
-        self.failures = 0        # consecutive operational failures
-        self.cooldown_left = 0   # files left before half-open
-        self.skips = 0           # candidates skipped while open (tally)
-        self.trips = 0           # times the breaker opened
-        self.warned = False
-
-    def should_skip(self, backend_id: str) -> bool:
-        """Called once per file before running the backend; advances the
-        cooldown clock when open."""
-        if self.state == BREAKER_OPEN:
-            if self.cooldown_left <= 0:
-                self.state = BREAKER_HALF_OPEN
-                return False
-            self.cooldown_left -= 1
-            self.skips += 1
-            return True
-        return False
-
-    def record_failure(self, backend_id: str, reason: str) -> None:
-        threshold = breaker_threshold()
-        if threshold <= 0:
-            return
-        if self.state == BREAKER_HALF_OPEN:
-            # The trial failed: straight back to open.
-            self._trip(backend_id, reason)
-            return
-        self.failures += 1
-        if self.failures >= threshold:
-            self._trip(backend_id, reason)
-
-    def record_success(self) -> None:
-        self.failures = 0
-        if self.state == BREAKER_HALF_OPEN:
-            self.state = BREAKER_CLOSED
-
-    def _trip(self, backend_id: str, reason: str) -> None:
-        self.state = BREAKER_OPEN
-        self.cooldown_left = breaker_cooldown()
-        self.failures = 0
-        self.trips += 1
-        if not self.warned:
-            self.warned = True
-            warnings.warn(
-                f"backend {backend_id!r} circuit breaker opened after "
-                f"{breaker_threshold()} consecutive failures (last: "
-                f"{reason}); skipping it for "
-                f"{self.cooldown_left} file(s) before retrying",
-                RuntimeWarning, stacklevel=4)
-
-
-#: Per-process breaker registry (reset at the top of every batch).
-_BREAKERS: dict[str, _BreakerState] = {}
-
-
-def _breaker_for(backend_id: str) -> _BreakerState:
-    state = _BREAKERS.get(backend_id)
-    if state is None:
-        state = _BREAKERS[backend_id] = _BreakerState()
-    return state
-
-
-def reset_breakers() -> None:
-    """Forget all breaker state — called at batch start (pre-fork) so
-    one run's pathology never bleeds into the next."""
-    _BREAKERS.clear()
 
 
 class FixBackend:
@@ -397,8 +286,6 @@ class BackendCandidate:
     def verdict_summary(self) -> str:
         if self.status == CANDIDATE_ERROR:
             return "error"
-        if self.status == CANDIDATE_SKIPPED:
-            return "breaker open"
         # A rejected candidate the oracle never judged (its transformed
         # text did not parse, or the judge itself failed) must surface
         # its rejection reason — labelling it "unjudged" hid the parse
@@ -436,10 +323,8 @@ class ArbitrationReport:
 
     @property
     def attempted(self) -> int:
-        """Backends that actually ran (errors included, breaker skips
-        excluded — a skipped backend never executed)."""
-        return sum(1 for c in self.candidates
-                   if c.status != CANDIDATE_SKIPPED)
+        """Backends that ran, errors included."""
+        return len(self.candidates)
 
     @property
     def rejected(self) -> int:
@@ -518,31 +403,19 @@ def arbitrate_file(text: str, filename: str,
     session = session if session is not None else get_session()
     inputs = default_inputs(filename, seed=fuzz_seed)
     report = ArbitrationReport(filename, tuple(backends))
-    breakers_on = breaker_threshold() > 0
     for backend_id in backends:
-        breaker = _breaker_for(backend_id) if breakers_on else None
-        if breaker is not None and breaker.should_skip(backend_id):
-            report.candidates.append(BackendCandidate(
-                backend_id, None, status=CANDIDATE_SKIPPED,
-                reason=f"circuit breaker open; "
-                       f"{breaker.cooldown_left + 1} file(s) until "
-                       f"half-open trial"))
-            continue
         with profile.stage(backend_id):
             try:
                 faults.check(backend_id, filename)
                 result = cached_backend_run(backend_id, text, filename,
                                             session)
             except Exception as exc:
-                reason = f"{type(exc).__name__}: {exc}"
                 report.candidates.append(BackendCandidate(
                     backend_id, None, status=CANDIDATE_ERROR,
-                    reason=reason))
+                    reason=f"{type(exc).__name__}: {exc}"))
                 if diagnostics is not None:
                     diagnostics.append(diagnostic_from_exception(
                         backend_id, filename, exc))
-                if breaker is not None:
-                    breaker.record_failure(backend_id, reason)
                 continue
         candidate = BackendCandidate(backend_id, result)
         if result.candidates == 0:
@@ -583,16 +456,6 @@ def arbitrate_file(text: str, filename: str,
                     else:
                         candidate.status = CANDIDATE_RUNNER_UP
         report.candidates.append(candidate)
-        if breaker is not None:
-            # Operational failures (the backend's output did not parse,
-            # or the judge itself errored) feed the breaker; a
-            # semantics-changed rejection is the oracle working as
-            # designed and counts as a healthy run.
-            if candidate.status == CANDIDATE_REJECTED \
-                    and candidate.validation is None:
-                breaker.record_failure(backend_id, candidate.reason)
-            else:
-                breaker.record_success()
 
     eligible = [(index, candidate)
                 for index, candidate in enumerate(report.candidates)
@@ -613,8 +476,7 @@ def scoreboard(reports: list[ArbitrationReport]
     ``attempted`` counts files the backend ran on, ``selected`` files it
     won, ``rejected`` candidates the judge disqualified,
     ``overflow_prevented`` the total prevented-overflow probe verdicts
-    across its (judged) candidates, and ``breaker_skips`` files the
-    backend's open circuit breaker sat out (those are *not* attempts).
+    across its (judged) candidates.
     """
     board: dict[str, dict[str, int]] = {}
     for report in reports:
@@ -622,12 +484,9 @@ def scoreboard(reports: list[ArbitrationReport]
             row = board.setdefault(candidate.backend, {
                 "attempted": 0, "changed": 0, "selected": 0,
                 "runner_up": 0, "rejected": 0, "no_change": 0,
-                "not_applicable": 0, "errors": 0, "breaker_skips": 0,
+                "not_applicable": 0, "errors": 0,
                 "overflow_prevented": 0, "sites_transformed": 0,
             })
-            if candidate.status == CANDIDATE_SKIPPED:
-                row["breaker_skips"] += 1
-                continue            # never ran: not an attempt
             row["attempted"] += 1
             row["changed"] += int(candidate.changed)
             row["sites_transformed"] += candidate.transformed_count

@@ -59,7 +59,7 @@ from .diagnostics import (
 )
 from .backends import (
     ARBITRATION_VERSION, CANDIDATE_ERROR, ArbitrationReport,
-    arbitrate_file, reset_breakers, resolve_backends, scoreboard,
+    arbitrate_file, resolve_backends, scoreboard,
 )
 from .envknobs import float_knob, int_knob
 from .session import AnalysisSession, get_session
@@ -1093,9 +1093,6 @@ class BatchStream:
         #: terminal reports are journaled as they emit, and known
         #: poison content is quarantined instead of re-dispatched.
         self.journal = journal
-        # Fresh circuit-breaker state per batch, installed pre-fork so
-        # every worker inherits closed breakers.
-        reset_breakers()
         self.session = session if session is not None else get_session()
         self.run_slr = run_slr
         self.run_str = run_str

@@ -137,34 +137,20 @@ def render_backend_scoreboard(result: BatchResult) -> str:
             if backend_id in board and backend_id not in order:
                 order.append(backend_id)
     order.extend(b for b in sorted(board) if b not in order)
-    # The breaker column appears only when a breaker actually tripped,
-    # keeping the healthy-run table in the PR 6 shape.
-    breaker_mode = any(row.get("breaker_skips", 0)
-                       for row in board.values())
     rows = [[backend_id,
              row["attempted"], row["changed"], row["selected"],
              row["runner_up"], row["rejected"], row["no_change"],
              row["not_applicable"], row["errors"],
-             *([row.get("breaker_skips", 0)] if breaker_mode else []),
              row["overflow_prevented"], row["sites_transformed"]]
             for backend_id in order
             for row in (board[backend_id],)]
     table = _table(["backend", "attempted", "changed", "selected",
                     "runner-up", "rejected", "no-change", "n/a",
-                    "errors",
-                    *(["breaker-skips"] if breaker_mode else []),
-                    "overflow-prevented", "sites"], rows)
+                    "errors", "overflow-prevented", "sites"], rows)
     summary = (f"arbitration: {len(arbitrations)} file(s), "
                f"{result.backends_attempted} candidate(s) attempted, "
                f"{result.backends_rejected} rejected by the oracle")
     lines = [table, "", summary]
-    if breaker_mode:
-        skipped = " ".join(
-            f"{backend}={board[backend].get('breaker_skips', 0)}"
-            for backend in order
-            if board[backend].get("breaker_skips", 0))
-        lines.append(f"circuit breakers: candidates skipped while "
-                     f"open: {skipped}")
     rejected = [(report.filename, candidate)
                 for report in arbitrations
                 for candidate in report.candidates

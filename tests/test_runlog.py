@@ -179,7 +179,7 @@ if {resume!r}:
     journal.load()
 journal.begin(program, {{"validate": False}})
 result = apply_batch(program, jobs={jobs}, validate=False,
-                     journal=journal)
+                     backends={backends!r}, journal=journal)
 record = {{"replayed": result.stats.replayed,
            "reports": {{r.filename: [r.status, r.final_text, r.parses,
                                      [[d.stage, d.kind]
@@ -191,12 +191,12 @@ with open({out!r}, "w") as fh:
 
 
 def run_driver(tmp_path, name, files, *, jobs, cache, runroot,
-               run_id=None, resume=False, faults=None):
+               run_id=None, resume=False, faults=None, backends=None):
     out = str(tmp_path / f"{name}.json")
     script = DRIVER.format(src=REPO_SRC, cache=cache, faults=faults,
                            files_json=json.dumps(files), run_id=run_id,
                            runroot=runroot, resume=resume, jobs=jobs,
-                           out=out)
+                           backends=backends, out=out)
     env = {**os.environ}
     env.pop("REPRO_FAULTS", None)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
@@ -292,6 +292,44 @@ class TestCrashResume:
         resume_proc, resume_out = run_driver(
             tmp_path, "resume", files, jobs=1, cache=cache,
             runroot=runroot, run_id="crash-run", resume=True)
+        assert resume_proc.returncode == 0, resume_proc.stderr
+        clean = json.load(open(clean_out))
+        resumed = json.load(open(resume_out))
+        assert resumed["replayed"] == journaled
+        assert resumed["reports"] == clean["reports"]
+
+    def test_faulted_arbitration_resume_is_byte_identical(self, tmp_path):
+        """An arbitrated run whose first backend fails on every file
+        resumes byte-identically: the resumed run tries that backend on
+        every file it recomputes, exactly as the uninterrupted run did."""
+        files = make_files(16, tag="-arb")
+        rate, _fired = pick_kill_rate(files, "journal")
+        runroot = str(tmp_path / "runs")
+        cache = str(tmp_path / "cache")
+        s3lib_fails = "s3lib:exception:1.0"
+        arbitrated = dict(jobs=1, backends="s3lib,slr,str")
+
+        clean_proc, clean_out = run_driver(
+            tmp_path, "clean", files, cache=str(tmp_path / "cache-clean"),
+            runroot=str(tmp_path / "runs-clean"), faults=s3lib_fails,
+            **arbitrated)
+        assert clean_proc.returncode == 0, clean_proc.stderr
+
+        crash_proc, _ = run_driver(
+            tmp_path, "crash", files, cache=cache, runroot=runroot,
+            run_id="crash-run",
+            faults=f"{s3lib_fails},journal:parent-kill:{rate}",
+            **arbitrated)
+        assert crash_proc.returncode == KILL_EXIT_CODE, crash_proc.stderr
+
+        crashed = RunJournal("crash-run", root=runroot)
+        crashed.load()
+        journaled = len(crashed.completed)
+
+        resume_proc, resume_out = run_driver(
+            tmp_path, "resume", files, cache=cache, runroot=runroot,
+            run_id="crash-run", resume=True, faults=s3lib_fails,
+            **arbitrated)
         assert resume_proc.returncode == 0, resume_proc.stderr
         clean = json.load(open(clean_out))
         resumed = json.load(open(resume_out))
