@@ -110,12 +110,37 @@ class Binder:
         self._current_function: ast.FunctionDef | None = None
 
     def bind(self) -> SymbolTable:
-        for item in self.unit.items:
+        """Bind the unit.  The declarations of a shared preamble are
+        bound by the first unit that shares it, which saves the global
+        scope they leave; later units start from copies of it, so every
+        unit gets the same preamble symbols."""
+        items = self.unit.items
+        preamble = self.unit.preamble
+        start = 0
+        if preamble is not None:
+            start = len(preamble.items)
+            if preamble.bound is None:
+                self._bind_items(items[:start])
+                table = self.table
+                preamble.bound = (dict(table.globals), dict(table.functions),
+                                  list(table.all_symbols))
+            else:
+                globals_, functions, all_symbols = preamble.bound
+                # At file scope the scope and the globals table hold the
+                # same entries.
+                self._scopes.scopes[0] = dict(globals_)
+                self.table.globals = dict(globals_)
+                self.table.functions = dict(functions)
+                self.table.all_symbols = list(all_symbols)
+        self._bind_items(items[start:])
+        return self.table
+
+    def _bind_items(self, items: list[ast.Node]) -> None:
+        for item in items:
             if isinstance(item, ast.FunctionDef):
                 self._bind_function(item)
             elif isinstance(item, ast.Declaration):
                 self._bind_declaration(item)
-        return self.table
 
     # ----------------------------------------------------------- internals
 

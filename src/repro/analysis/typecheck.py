@@ -35,10 +35,10 @@ class TypeChecker:
         self.diagnostics: list[TypeDiagnostic] = []
 
     def run(self) -> list[TypeDiagnostic]:
-        for node in self.unit.walk():
-            if isinstance(node, ast.FunctionDef):
-                self._check_function(node)
-                continue
+        # Function definitions are only ever top-level items.
+        for item in self.unit.items:
+            if isinstance(item, ast.FunctionDef):
+                self._check_function(item)
         # Global initializers.
         for item in self.unit.items:
             if isinstance(item, ast.Declaration):

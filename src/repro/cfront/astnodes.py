@@ -520,13 +520,18 @@ class TranslationUnit(Node):
     # ``_vm_index`` caches the VM loader's (functions, globals) scan of
     # ``items`` — the differential oracle instantiates many interpreters
     # over the same parsed unit (see Interpreter._load_program).
-    __slots__ = ("items", "filename", "_vm_index")
+    __slots__ = ("items", "filename", "preamble", "_vm_index")
     _fields = ("items",)
 
-    def __init__(self, extent, items: list[Node], filename: str):
+    def __init__(self, extent, items: list[Node], filename: str,
+                 preamble=None):
         super().__init__(extent)
         self.items = items
         self.filename = filename
+        # The repro.cfront.parser.Preamble whose declarations open
+        # ``items``, shared with other units; None for a unit that
+        # shares nothing.
+        self.preamble = preamble
         self._vm_index = None
 
     def functions(self) -> list[FunctionDef]:

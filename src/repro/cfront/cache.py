@@ -21,14 +21,21 @@ change — on disk *or* in memory.
 own lookups, store loads and bytes where they happen, per process.
 Fork-pool workers' counts stay in the workers.
 
+:class:`PrefixCache` is the one cache keyed on a *prefix* of the text
+rather than on all of it: the parser keeps the header preambles it has
+parsed there (:mod:`repro.cfront.parser`), memory only, and shares each
+with every later text that starts with it.
+
 Environment knobs:
 
 * ``REPRO_CACHE=0``      — disable all frontend caches (every call misses,
-  the disk layer included);
+  the disk layer included; the parser neither reads nor fills its
+  preamble table);
 * ``REPRO_DISK_CACHE=0`` — disable only the disk layer.
 
 Each cache's LRU holds :data:`DEFAULT_CACHE_SIZE` entries unless its
-constructor is given a ``maxsize``.
+constructor is given a ``maxsize``; a :class:`PrefixCache` is always
+given one.
 """
 
 from __future__ import annotations
@@ -191,8 +198,48 @@ class ContentCache:
         return value
 
 
+class PrefixCache:
+    """A bounded LRU map from text prefixes to values.
+
+    :meth:`longest` finds the longest recorded prefix that a text starts
+    with, by comparing the text against every entry, so the bound is
+    kept small.  As with :class:`ContentCache`, the same value is handed
+    to every hit and must be treated as immutable.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._entries: "OrderedDict[str, object]" = OrderedDict()
+        _PREFIX_CACHES.append(self)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def longest(self, text: str):
+        """The value of the longest recorded prefix of ``text``, or None."""
+        best = ""
+        for prefix in self._entries:
+            if len(prefix) > len(best) and text.startswith(prefix):
+                best = prefix
+        if not best:
+            return None
+        self._entries.move_to_end(best)
+        return self._entries[best]
+
+    def add(self, prefix: str, value) -> None:
+        self._entries[prefix] = value
+        self._entries.move_to_end(prefix)
+        if len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+
+
 #: name -> cache, so stats can be reported across the whole frontend.
 _REGISTRY: dict[str, ContentCache] = {}
+#: Prefix caches keep no stats; they are only cleared with the rest.
+_PREFIX_CACHES: list[PrefixCache] = []
 
 
 def all_cache_stats() -> list[CacheStats]:
@@ -209,7 +256,7 @@ def snapshot_stats() -> dict[str, CacheStats]:
 
 
 def clear_all_caches() -> None:
-    for cache in _REGISTRY.values():
+    for cache in (*_REGISTRY.values(), *_PREFIX_CACHES):
         cache.clear()
 
 

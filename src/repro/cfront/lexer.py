@@ -98,7 +98,13 @@ class Lexer:
         self.source = source
         self.preprocessor_mode = preprocessor_mode
 
-    def tokenize(self) -> list[Token]:
+    def tokenize(self, start: int = 0, line: int = 1) -> list[Token]:
+        """Tokens from offset ``start`` (on 1-based ``line``) to the end.
+
+        The parser resumes after a shared preamble this way.  ``start``
+        must then be the end offset of a token of the same text, and in
+        parser mode the result is exactly the tail of a lex from 0.
+        """
         src = self.source
         text = src.text
         tokens: list[Token] = []
@@ -117,12 +123,13 @@ class Lexer:
         g_number = groups["number"]
         g_id = groups["id"]
         g_end = groups["end"]
-        pos = 0
+        pos = start
         length = len(text)
         space_pending = False
-        at_line_start = True
-        line = 1              # 1-based line of ``pos``
-        line_begin = 0        # offset of the first character of ``line``
+        # ``line`` is the 1-based line of ``pos``; ``line_begin`` the
+        # offset of that line's first character.
+        line_begin = text.rfind("\n", 0, pos) + 1
+        at_line_start = pos == line_begin
 
         while pos < length:
             match = match_at(text, pos)

@@ -4,16 +4,34 @@ Consumes preprocessed text (see :mod:`repro.cfront.preprocessor`) and builds
 the AST of :mod:`repro.cfront.astnodes`.  The parser is typedef-aware (it
 keeps scoped typedef and tag tables, as any C parser must) and records exact
 source extents on every node so the rewriter can edit the original text.
+
+Most of a preprocessed unit is its header preamble, and the pipeline
+parses many texts that start with the same one: every file of a batch
+that includes the same headers, and SLR's output and the final text
+of each file.  A cold parse therefore records a :class:`Preamble` at
+the last top-level ``;`` before its first function definition: the
+prefix text, its tokens and top-level declarations, and the file-scope
+tables at that point.  A later text that starts with a recorded prefix
+lexes and parses only the rest, from copies of those tables, and its
+unit shares the preamble's declarations read-only;
+:class:`~repro.analysis.symtab.Binder` likewise binds them once per
+process.  Whenever the rest would write into a shared object (it
+completes a struct or union the preamble left incomplete, or defines a
+function the preamble declares) the parser starts again from byte 0,
+so the result is always the cold parse's.  The table of preambles
+(:data:`_PREAMBLES`) is per process, holds :data:`PREAMBLE_TABLE_SIZE`
+entries, and is neither read nor written under ``REPRO_CACHE=0``.
 """
 
 from __future__ import annotations
 
 from . import astnodes as ast
+from .cache import PrefixCache, caches_enabled
 from .ctypes_model import (
     BOOL, CHAR, CType, DOUBLE, EnumType, FLOAT, FloatType, FunctionType, INT,
     ArrayType, IntType, PointerType, StructType, VOID, VaListType,
 )
-from .lexer import splice_lines, tokenize
+from .lexer import Lexer, splice_lines
 from .literals import parse_char_constant, parse_number, parse_string_literal
 from .source import ParseError, SourceExtent, SourceFile
 from .tokens import CHAR_CONST, EOF, ID, KEYWORD, NUMBER, PUNCT, STRING, Token
@@ -22,6 +40,7 @@ _TYPE_SPECIFIER_KEYWORDS = frozenset({
     "void", "char", "short", "int", "long", "float", "double", "signed",
     "unsigned", "_Bool", "struct", "union", "enum",
 })
+_TAG_KEYWORDS = frozenset({"struct", "union", "enum"})
 _INT_PARTS = frozenset({"void", "char", "short", "int", "long", "float",
                         "double", "signed", "unsigned", "_Bool"})
 _STORAGE_CLASSES = frozenset({"typedef", "extern", "static", "auto",
@@ -85,20 +104,85 @@ class _Scope:
         return None
 
 
+class Preamble:
+    """The parsed prefix of a text, shared read-only by every unit whose
+    (spliced) text starts with it.
+
+    Recorded only when nothing in it can be written to later: it holds no
+    initializer (the only expressions a declaration holds, so typing
+    never writes into it), the function header that ends it names no
+    struct, union or enum (so the file-scope tables are still the
+    preamble's own), and the rest of the recording text passes the same
+    checks a sharing text must.  ``bound`` is filled in by
+    :class:`~repro.analysis.symtab.Binder` the first time a unit that
+    shares the preamble is bound.  The top-level items keep the
+    ``parent`` the recording parse gave them.
+    """
+
+    __slots__ = ("text", "tokens", "items", "typedefs", "tags",
+                 "enum_constants", "ordinary", "bound")
+
+    def __init__(self, text: str, tokens: list[Token],
+                 items: tuple[ast.Declaration, ...], scope: _Scope):
+        self.text = text
+        self.tokens = tokens
+        self.items = items
+        self.typedefs = dict(scope.typedefs)
+        self.tags = dict(scope.tags)
+        self.enum_constants = dict(scope.enum_constants)
+        self.ordinary = frozenset(scope.ordinary)
+        self.bound = None
+
+    def file_scope(self) -> _Scope:
+        """A fresh file scope holding copies of the preamble's tables."""
+        scope = _Scope()
+        scope.typedefs = dict(self.typedefs)
+        scope.tags = dict(self.tags)
+        scope.enum_constants = dict(self.enum_constants)
+        scope.ordinary = set(self.ordinary)
+        return scope
+
+
+#: Entries in the per-process preamble table.  A lookup compares the
+#: text against every entry; a 120-file synth batch meets 6 preambles.
+PREAMBLE_TABLE_SIZE = 64
+_PREAMBLES = PrefixCache(PREAMBLE_TABLE_SIZE)
+
+
+class _Unshareable(Exception):
+    """The rest of a text would write into its shared preamble."""
+
+
 class Parser:
     """Parse one preprocessed translation unit."""
 
     def __init__(self, text: str, filename: str = "<string>"):
         self.text = text
         self.filename = filename
-        source = SourceFile(filename, splice_lines(text))
-        from .lexer import Lexer
-        self.tokens = Lexer(source).tokenize()
-        self.pos = 0
-        self.scope = _Scope()
-        self._install_builtins()
+        self.source = SourceFile(filename, splice_lines(text))
+        self._start(_PREAMBLES.longest(self.source.text)
+                    if caches_enabled() else None)
 
     # ------------------------------------------------------------ plumbing
+
+    def _start(self, preamble: Preamble | None) -> None:
+        """Lex and set up the file scope: for the whole text, or for what
+        follows ``preamble``.  A parse from byte 0 with the caches on
+        records a preamble at its first function definition."""
+        self._preamble = preamble
+        self._shared = preamble is not None
+        self._recording = preamble is None and caches_enabled()
+        if preamble is None:
+            self.tokens = Lexer(self.source).tokenize()
+            self.pos = 0
+            self.scope = _Scope()
+            self._install_builtins()
+        else:
+            tokens = preamble.tokens
+            self.tokens = tokens + Lexer(self.source).tokenize(
+                len(preamble.text), tokens[-1].line)
+            self.pos = len(tokens)
+            self.scope = preamble.file_scope()
 
     def _install_builtins(self) -> None:
         self.scope.typedefs["__builtin_va_list"] = VaListType()
@@ -171,19 +255,37 @@ class Parser:
         import sys
         if sys.getrecursionlimit() < 20_000:
             sys.setrecursionlimit(20_000)
-        items: list[ast.Node] = []
+        try:
+            return self._translation_unit()
+        except _Unshareable:
+            self._start(None)
+            return self._translation_unit()
+
+    def _translation_unit(self) -> ast.TranslationUnit:
+        items: list[ast.Node] = \
+            list(self._preamble.items) if self._shared else []
+        self._items = items
         while self._peek().kind != EOF:
             if self._accept_punct(";"):
                 continue
             items.append(self._external_declaration())
+        preamble = self._preamble
         unit = ast.TranslationUnit(SourceExtent(0, len(self.text)), items,
-                                   self.filename)
-        ast.set_parents(unit)
+                                   self.filename, preamble)
+        if self._shared:
+            for item in items[len(preamble.items):]:
+                item.parent = unit
+                ast.set_parents(item)
+        else:
+            ast.set_parents(unit)
+            if preamble is not None:
+                _PREAMBLES.add(preamble.text, preamble)
         return unit
 
     def _external_declaration(self) -> ast.Node:
         tokens = self.tokens
-        start = tokens[self.pos].offset
+        first = self.pos
+        start = tokens[first].offset
         base_type, storage, is_typedef = self._declaration_specifiers()
         tok = tokens[self.pos]
         if tok.kind is PUNCT and tok.text == ";":
@@ -196,10 +298,44 @@ class Parser:
         if isinstance(ctype, FunctionType) and \
                 tokens[self.pos].is_punct("{") \
                 and not is_typedef:
+            self._enter_function(first, name)
             return self._function_definition(start, name, ctype, name_extent,
                                              storage)
         return self._finish_declaration(start, decl_start, base_type, storage,
                                         is_typedef, name, ctype, name_extent)
+
+    # -------------------------------------------------------- preamble
+
+    def _enter_function(self, first: int, name: str) -> None:
+        """At a top-level function definition whose first token is
+        ``tokens[first]``, before its body: record the preamble if this
+        is a cold parse's first one, and keep the binder from rewriting a
+        shared symbol (it points a declared function at its definition)."""
+        if self._recording:
+            self._recording = False
+            self._preamble = self._record(first)
+        if self._preamble is not None and name in self._preamble.ordinary:
+            self._unshare()
+
+    def _record(self, first: int) -> Preamble | None:
+        items = self._items
+        if not items or any(declarator.init is not None
+                            for item in items
+                            for declarator in item.declarators):
+            return None
+        if any(tok.kind is KEYWORD and tok.text in _TAG_KEYWORDS
+               for tok in self.tokens[first:self.pos]):
+            return None
+        return Preamble(self.source.text[:self.tokens[first - 1].end],
+                        self.tokens[:first], tuple(items), self.scope)
+
+    def _unshare(self) -> None:
+        """The rest of the text is about to write into a preamble object:
+        a sharing parse starts again cold; a recording parse keeps going
+        and records nothing."""
+        if self._shared:
+            raise _Unshareable
+        self._preamble = None
 
     def _function_definition(self, start: int, name: str,
                              ctype: FunctionType,
@@ -317,6 +453,9 @@ class Parser:
                 if isinstance(existing, StructType) and \
                         existing.is_union == is_union and \
                         not existing.is_complete:
+                    if self._preamble is not None and \
+                            self._preamble.tags.get(tag) is existing:
+                        self._unshare()
                     stype = existing
             if stype is None:
                 stype = StructType(tag, is_union)

@@ -16,6 +16,12 @@ Units live in memory only.  What a later process needs from a parse is
 the verify verdict, and :meth:`AnalysisSession.verify` persists just
 that: a text that parsed once is never parsed again to learn it parses.
 
+A miss on a *new* text still skips most of the work when the text
+starts with a header preamble the process has parsed before: the parser
+and the binder share that preamble's declarations and global symbols
+read-only between the units (see :mod:`repro.cfront.parser`), so
+cached units may hold the same preamble nodes and symbols.
+
 A module-level default session (:func:`get_session`) serves code that
 does not thread a session explicitly; worker processes forked by the
 batch executor inherit the parent's warmed default session for free.

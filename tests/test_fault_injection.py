@@ -181,14 +181,24 @@ class TestWorkerFaults:
         assert pooled.stats.supervision["worker_deaths"] == len(killed)
 
     def test_dead_workers_respawn_for_remaining_work(self, monkeypatch):
-        # More files than workers: after a kill there is still pending
-        # work, so the pool must replace the dead worker to finish.
+        # The first two files, which the two workers take first, are both
+        # killed, so no worker ever finishes a task before a death is
+        # reaped: six files are still pending then, and only a new
+        # worker can take them.  (With a surviving worker, a slow exit
+        # could let it drain the batch first, and nothing would respawn.)
         monkeypatch.setenv("REPRO_FAULTS", "str:kill:0.5")
         monkeypatch.setenv("REPRO_TASK_RETRIES", "0")
-        program = chaos_program(8)
-        names = sorted(program.files)
+        pool = chaos_program(40).files
+        candidates = sorted(pool)
+        hit = set(faults.faulted_subjects("str", "kill", candidates))
+        first = next(i for i in range(len(candidates) - 1)
+                     if {candidates[i], candidates[i + 1]} <= hit)
+        names = candidates[first:first + 8]
+        program = SourceProgram("chaos-respawn",
+                                {name: pool[name] for name in names})
         killed = set(faults.faulted_subjects("str", "kill", names))
         assert 0 < len(killed) < len(names)
+        assert {names[0], names[1]} <= killed
         pooled = apply_batch(program, jobs=2)
         assert len(pooled.reports) == len(names)
         assert {r.filename for r in pooled.reports
