@@ -618,32 +618,32 @@ def cmd_runs(args: argparse.Namespace) -> int:
     shown = 0
     for name in names:
         event = journal.completed.get(name)
-        audit = journal.read_audit(name)
-        if event is None and audit is None:
+        if event is None:
             print(f"{name}: no journaled outcome", file=sys.stderr)
             continue
         shown += 1
-        status = audit.get("status") if audit else (event and event[0])
-        print(f"\n{name}: {status}")
+        # The audit is built from the file's result record; an
+        # unreadable record leaves only the journaled event.
+        audit = journal.read_audit(name)
+        print(f"\n{name}: {audit['status'] if audit else event[0]}")
         if audit is None:
             continue
-        for diag in audit.get("diagnostics") or []:
-            print(f"  crash report: [{diag.get('stage')}] "
-                  f"{diag.get('kind')}: {diag.get('message')}")
-        winner = audit.get("winner")
+        for diag in audit["diagnostics"]:
+            print(f"  crash report: [{diag['stage']}] "
+                  f"{diag['kind']}: {diag['message']}")
+        winner = audit["winner"]
+        diff = audit["diff"]
         if winner:
             print(f"  fix: backend {winner} won the arbitration")
-        elif audit.get("diff"):
+        elif diff:
             print("  fix: SLR/STR chain edited the file")
-        verdicts = audit.get("verdicts")
+        verdicts = audit["verdicts"]
         if verdicts:
             print("  verdicts: " + " ".join(
                 f"{k}={v}" for k, v in sorted(verdicts.items())))
-        for div in audit.get("divergences") or []:
-            print(f"  divergence: {div.get('input')}"
-                  f"({div.get('kind')}): {div.get('verdict')} — "
-                  f"{div.get('detail')}")
-        diff = audit.get("diff")
+        for div in audit["divergences"]:
+            print(f"  divergence: {div['input']}({div['kind']}): "
+                  f"{div['verdict']} — {div['detail']}")
         if diff and (args.file or args.diff):
             print("  diff:")
             for line in diff.splitlines():
@@ -725,9 +725,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="name this run's journal directory "
                             "(default: a generated timestamped id)")
     batch.add_argument("--no-run-log", action="store_true",
-                       help="skip the write-ahead run journal and audit "
-                            "trail (also REPRO_RUN_LOG=0); such a run "
-                            "cannot be resumed")
+                       help="skip the write-ahead run journal (also "
+                            "REPRO_RUN_LOG=0); such a run cannot be "
+                            "resumed or shown by 'repro runs show'")
     batch.set_defaults(func=cmd_batch)
 
     validate = sub.add_parser(

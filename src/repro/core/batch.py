@@ -66,7 +66,8 @@ from .session import AnalysisSession, get_session
 from .slr import SafeLibraryReplacement
 from .strtransform import SafeTypeReplacement
 from .transform import TransformResult
-from .validate import ValidationReport, default_inputs, validate_pair
+from .validate import ValidationReport, default_inputs, file_seed, \
+    oracle_mem_limit, oracle_step_limit, validate_pair
 
 
 def default_jobs() -> int:
@@ -599,8 +600,6 @@ class ProcessPoolExecutor:
                     yield next_emit, report
                     next_emit += 1
                     emitted = True
-                if exhausted and next_emit == next_pull:
-                    return
                 now = time.monotonic()
                 for when, index in list(retry_at):
                     if when <= now:
@@ -615,6 +614,10 @@ class ProcessPoolExecutor:
                     held[next_pull] = task
                     pending.append(next_pull)
                     next_pull += 1
+                # After the pull: a source that yields no task at all
+                # leaves nothing to wait for.
+                if exhausted and next_emit == next_pull:
+                    return
                 self.max_inflight = max(self.max_inflight,
                                         next_pull - next_emit)
                 pending = sorted(i for i in pending
@@ -976,19 +979,22 @@ class BatchResult:
 
 def _task_work_key(task: FileTask) -> str:
     """What a task's outcome depends on — *not* the filename, except
-    when validating (the oracle's fuzz probes are seeded per file) or
-    when fault injection is armed (faults fire per file name, so
-    identical content may legitimately diverge)."""
+    when the oracle runs (its fuzz probes are seeded per file) or when
+    fault injection is armed (faults fire per file name, so identical
+    content may legitimately diverge)."""
     parts = ["task", task.text, str(task.run_slr), str(task.run_str),
              task.profile]
+    # The oracle's verdicts depend on the probe bytes (the per-file
+    # seed in effect) and on its step and allocation budgets.
+    oracle = [task.filename, str(file_seed(task.filename, task.fuzz_seed)),
+              str(oracle_step_limit()), str(oracle_mem_limit())]
     if task.backends:
         # Arbitration outcomes depend on the backend chain and the
-        # contract version — and the judge always runs, with per-file
-        # seeded probes, so the filename is part of the work.
+        # contract version — and the judge always runs.
         parts += ["backends", ARBITRATION_VERSION, *task.backends,
-                  task.filename, str(task.fuzz_seed)]
+                  *oracle]
     if task.validate:
-        parts += [task.filename, str(task.fuzz_seed)]
+        parts += oracle
     if faults.faults_enabled() and faults.affects_results():
         # Scheduler-only faults (journal/dispatch parent-kill) never
         # change report content, so they stay out of the key — the run
@@ -1164,9 +1170,11 @@ class BatchStream:
                             "preprocess", filename, exc),
                         wall)
                     if self.journal is not None:
+                        # The diagnostic names the file, so the record
+                        # is keyed by name as well as content.
                         self.journal.record_result(
                             filename,
-                            content_key("pp-fail",
+                            content_key("pp-fail", filename,
                                         program.files[filename]),
                             failure)
                     slots.append((filename, _SLOT_REPORT, failure))
@@ -1194,8 +1202,13 @@ class BatchStream:
                 if entry is not None:
                     self.info.quarantined += 1
                     report = _quarantined_report(filename, text, entry)
-                    self.journal.record_quarantined(filename, key, entry)
-                    self.journal.write_audit(report)
+                    # Keyed by name too: a computed file with the same
+                    # work key keeps its own record.
+                    record_key = content_key(STATUS_QUARANTINED,
+                                             filename, key)
+                    self.journal.write_audit(record_key, report)
+                    self.journal.record_quarantined(filename, record_key,
+                                                    entry)
                     slots.append((filename, _SLOT_REPORT, report))
                     continue
             if key in self._reps:

@@ -36,7 +36,7 @@ of ``stage:kind:rate`` rules:
     ``disk-full``    make the next matching journal/store write raise
                      ``OSError(ENOSPC)``, proving durable-run I/O
                      degrades warn-once instead of failing the batch
-                     (consumed via :func:`should_fail_disk`, not
+                     (consumed via :func:`check_disk_full`, not
                      :func:`check`).
 ``rate``
     Fraction of subjects the rule fires on, in ``[0, 1]``.
@@ -54,6 +54,7 @@ runs pay one dict lookup per stage.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import time
@@ -269,21 +270,21 @@ def check(stage: str, subject: str) -> None:
                 os._exit(KILL_EXIT_CODE)
 
 
-def should_fail_disk(stage: str, subject: str) -> bool:
-    """Would an active ``disk-full`` rule hit this write?
+def check_disk_full(stage: str, subject: str) -> None:
+    """Raise ``OSError(ENOSPC)`` when an active ``disk-full`` rule hits
+    this write.
 
-    Unlike :func:`check` this never raises — the journal and store call
-    it *inside* the try blocks that absorb real ``OSError`` so the
-    injected ENOSPC exercises the same degradation path a full disk
-    would.
+    The journal and store call it *inside* the try blocks that absorb a
+    real ``OSError``, so the injected ENOSPC takes the same degradation
+    path a full disk would.
     """
     if not faults_enabled():
-        return False
+        return
     for rule in active_rules():
         if rule.stage == stage and rule.kind == "disk-full" \
                 and should_fire(rule, subject):
-            return True
-    return False
+            raise OSError(errno.ENOSPC,
+                          f"injected disk-full for {subject}")
 
 
 def corrupt_entry(key: str, data: bytes) -> bytes:

@@ -17,18 +17,21 @@ run lives in one directory.
   ``quarantined``), appended and flushed before the run moves on.  A
   crash can only ever lose the event being written; replay tolerates a
   torn final line.
-* ``results/<key>.pkl`` — content-addressed result pointers: the full
-  :class:`~repro.core.batch.FileTransformReport`, published with the
-  same write-to-temp + :func:`os.replace` discipline as the artifact
-  store, keyed by the task's work key (which is salted with the tool
-  fingerprint — a code change strands old results harmlessly).  The
-  WAL ordering invariant: the result file is published *before* the
-  ``completed`` event is journaled, so a journaled completion always
-  has a readable result.
-* ``audit/<file>.json`` — the ARVO-style per-file audit record: status,
-  diagnostics, per-site verdicts, the winning backend, and the unified
-  diff the run shipped.  ``repro runs show`` replays the
-  crash-report → fix → verdict chain from these.
+* ``results/<key>.pkl`` — the one record per file: the full
+  :class:`~repro.core.batch.FileTransformReport` behind each terminal
+  event, quarantined files included, published with the artifact
+  store's atomic writer (:func:`~repro.core.store.publish_atomic`) and
+  named by the key its event journals.  For a computed file that is the
+  task's work key, which is salted with the tool fingerprint, so a code
+  change strands old results harmlessly.  The WAL ordering invariant:
+  the record is published *before* its event is journaled, so a
+  journaled completion always has a readable result.
+
+The audit trail is built on read: ``repro runs show`` asks
+:meth:`RunJournal.read_audit` for a file's ARVO-style audit — status,
+diagnostics, per-site verdicts, the winning backend, and the unified
+diff the run shipped — and gets it computed from that file's record.
+A batch writes no audit of its own.
 
 ``repro batch --resume <run-id>`` (or ``--resume latest``) reopens the
 run directory, replays every journaled completion whose work key still
@@ -53,13 +56,10 @@ degrades to a warn-once unjournaled run, never a failed batch
 from __future__ import annotations
 
 import dataclasses
-import difflib
-import errno
 import io
 import json
 import os
 import pickle
-import shutil
 import time
 import uuid
 import warnings
@@ -67,6 +67,7 @@ import warnings
 from ..cfront.cache import content_key
 from ..fingerprint import tool_fingerprint
 from . import faults
+from .store import publish_atomic, remove_trees
 
 __all__ = [
     "RunJournal", "RunNotFound", "gc_runs", "latest_run_id", "list_runs",
@@ -83,6 +84,7 @@ EVENT_DISPATCHED = "dispatched"
 EVENT_COMPLETED = "completed"
 EVENT_FAILED = "failed"
 EVENT_QUARANTINED = "quarantined"
+TERMINAL_EVENTS = (EVENT_COMPLETED, EVENT_FAILED, EVENT_QUARANTINED)
 
 #: Artifact-store family quarantine entries are filed under (content
 #: hash → poison record); lives in the fingerprint-salted version dir,
@@ -129,7 +131,7 @@ class RunNotFound(FileNotFoundError):
 
 
 class RunJournal:
-    """One run's write-ahead journal, result pointers, and audit trail.
+    """One run's write-ahead journal and per-file result records.
 
     All methods are best-effort and exception-free (apart from injected
     whole-process faults): journaling must never be the reason a batch
@@ -146,7 +148,6 @@ class RunJournal:
         self.manifest_path = os.path.join(self.run_dir, "manifest.json")
         self.journal_path = os.path.join(self.run_dir, "journal.jsonl")
         self.results_dir = os.path.join(self.run_dir, "results")
-        self.audit_dir = os.path.join(self.run_dir, "audit")
         self.manifest: dict = {}
         #: filename -> (event, work key) for the latest journaled
         #: terminal event per file (loaded by :meth:`load`).
@@ -167,32 +168,13 @@ class RunJournal:
             f"journaling for affected records", RuntimeWarning,
             stacklevel=3)
 
-    def _check_disk_full(self, subject: str) -> None:
-        """Injected ``journal:disk-full`` rules fire here, inside the
-        same try blocks that absorb a real ENOSPC."""
-        if faults.faults_enabled() \
-                and faults.should_fail_disk("journal", subject):
-            raise OSError(errno.ENOSPC,
-                          f"injected disk-full for {subject}")
-
     def _publish(self, path: str, data: bytes, subject: str) -> bool:
-        """Write-to-temp + :func:`os.replace`, store discipline."""
-        directory = os.path.dirname(path)
-        tmp = os.path.join(directory,
-                           f".{os.path.basename(path)}."
-                           f"{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
+        """Publish one file atomically; ``journal:disk-full`` rules
+        match ``subject``."""
         try:
-            self._check_disk_full(subject)
-            os.makedirs(directory, exist_ok=True)
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
+            publish_atomic(path, data, "journal", subject)
         except OSError as exc:
             self._warn_once("write", exc)
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return False
         return True
 
@@ -200,7 +182,7 @@ class RunJournal:
         """Append one journal line and flush it to the kernel — after
         the flush an abrupt parent death cannot lose the record."""
         try:
-            self._check_disk_full(subject)
+            faults.check_disk_full("journal", subject)
             if self._handle is None:
                 os.makedirs(self.run_dir, exist_ok=True)
                 self._handle = open(self.journal_path, "a",
@@ -248,37 +230,20 @@ class RunJournal:
         cut a write short) is skipped; every fully written record
         counts.  Raises :class:`RunNotFound` when the run directory has
         no journal and no manifest."""
-        found = False
         try:
             with open(self.manifest_path, encoding="utf-8") as handle:
                 self.manifest = json.load(handle)
-            found = True
         except (OSError, ValueError):
             self.manifest = {}
-        try:
-            with open(self.journal_path, encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-            found = True
-        except OSError:
-            lines = []
-        for line in lines:
-            try:
-                event = json.loads(line)
-            except ValueError:
-                continue                    # torn tail write
-            if not isinstance(event, dict):
-                continue
+            if not os.path.isfile(self.journal_path):
+                raise RunNotFound(
+                    f"no run {self.run_id!r} under {self.root} "
+                    f"(no manifest.json or journal.jsonl)") from None
+        for event in self.events():
             name = event.get("file")
             kind = event.get("event")
-            if not name or kind == EVENT_DISPATCHED:
-                continue
-            if kind in (EVENT_COMPLETED, EVENT_FAILED,
-                        EVENT_QUARANTINED):
+            if name and kind in TERMINAL_EVENTS:
                 self.completed[name] = (kind, event.get("key", ""))
-        if not found:
-            raise RunNotFound(
-                f"no run {self.run_id!r} under {self.root} "
-                f"(no manifest.json or journal.jsonl)")
         self.resumed = True
         fp = self.manifest.get("fingerprint")
         if fp and fp != tool_fingerprint():
@@ -297,30 +262,26 @@ class RunJournal:
                            filename)
 
     def record_result(self, filename: str, key: str, report) -> None:
-        """Journal a terminal report: publish the content-addressed
-        result pointer first, then the WAL event — a journaled
-        completion therefore always has a readable result behind it.
-        The injected ``journal:parent-kill`` fault fires between the
-        two writes, the worst-ordered crash point the WAL must absorb.
+        """Journal a terminal report: publish its record first, then
+        the WAL event — a journaled completion therefore always has a
+        readable result behind it.  The injected
+        ``journal:parent-kill`` fault fires between the two writes, the
+        worst-ordered crash point the WAL must absorb.
         """
         status = getattr(report, "status", "")
         event = EVENT_FAILED if status == "failed" else EVENT_COMPLETED
-        try:
-            data = pickle.dumps(report,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return
-        if not self._publish(self._result_path(key), data, filename):
+        if not self.write_audit(key, report):
             return
         faults.check("journal", filename)
         self._append_event({"event": event, "file": filename,
                             "key": key, "status": status,
                             "t": round(time.time(), 3)}, filename)
         self.completed[filename] = (event, key)
-        self.write_audit(report)
 
     def record_quarantined(self, filename: str, key: str,
                            entry: dict) -> None:
+        """Journal a quarantined file; its caller has already recorded
+        the report under ``key`` (:meth:`write_audit`)."""
         self._append_event({"event": EVENT_QUARANTINED,
                             "file": filename, "key": key,
                             "reason": entry.get("message", ""),
@@ -328,20 +289,28 @@ class RunJournal:
                             "t": round(time.time(), 3)}, filename)
         self.completed[filename] = (EVENT_QUARANTINED, key)
 
-    # ------------------------------------------------------------- replay
+    # ------------------------------------------------------------ records
 
     def _result_path(self, key: str) -> str:
         return os.path.join(self.results_dir, key + ".pkl")
 
-    def replay(self, filename: str, key: str):
-        """The journaled report for ``filename`` — or ``None`` when the
-        file was never completed, its work key changed (content or tool
-        edit), or its result pointer is unreadable (recompute, never
-        trust a corrupt replay)."""
-        recorded = self.completed.get(filename)
-        if recorded is None or recorded[0] == EVENT_QUARANTINED \
-                or recorded[1] != key:
-            return None
+    def write_audit(self, key: str, report) -> bool:
+        """Publish a file's one record, the pickled report, under
+        ``key``: :meth:`replay` serves it to ``--resume`` and
+        :meth:`read_audit` builds the audit from it.  Returns whether
+        the record was written."""
+        try:
+            data = pickle.dumps(report,
+                                protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            return False
+        return self._publish(self._result_path(key), data,
+                             report.filename)
+
+    def _load_result(self, filename: str, key: str):
+        """The report recorded under ``key``, named ``filename`` (a
+        deduplicated file shares its representative's record), or
+        ``None`` when the record is missing or unreadable."""
         try:
             with open(self._result_path(key), "rb") as handle:
                 report = pickle.loads(handle.read())
@@ -351,42 +320,36 @@ class RunJournal:
             report = dataclasses.replace(report, filename=filename)
         return report
 
-    # -------------------------------------------------------- audit trail
+    def replay(self, filename: str, key: str):
+        """The journaled report for ``filename`` — or ``None`` when the
+        file was never completed, its work key changed (content or tool
+        edit), or its result record is unreadable (recompute, never
+        trust a corrupt replay)."""
+        recorded = self.completed.get(filename)
+        if recorded is None or recorded[0] == EVENT_QUARANTINED \
+                or recorded[1] != key:
+            return None
+        return self._load_result(filename, key)
 
-    def write_audit(self, report) -> None:
-        """One ARVO-style audit record per file: the crash report
-        (diagnostics), the fix (winning backend + unified diff), and
-        the verdicts the oracle returned for it."""
-        validation = getattr(report, "validation", None)
-        arbitration = getattr(report, "arbitration", None)
-        original = None
-        diff = None
-        final = getattr(report, "final_text", None)
-        if arbitration is not None:
-            original = None          # arbitration reports carry no input
-        for result in (getattr(report, "slr", None),
-                       getattr(report, "str_", None)):
-            if result is not None and original is None:
-                original = result.original_text
-        if arbitration is not None and arbitration.candidates:
-            for cand in arbitration.candidates:
-                if cand.result is not None:
-                    original = cand.result.original_text
-                    break
-        if original is not None and final is not None \
-                and final != original:
-            diff = "".join(difflib.unified_diff(
-                original.splitlines(keepends=True),
-                final.splitlines(keepends=True),
-                fromfile=report.filename,
-                tofile=report.filename + ".fixed"))
-        record = {
+    def read_audit(self, filename: str) -> dict | None:
+        """The ARVO-style audit of ``filename``'s latest terminal event,
+        built from its record: the crash report (diagnostics), the fix
+        (winning backend + unified diff), and the verdicts the oracle
+        returned for it.  ``None`` when the file has no journaled
+        outcome or its record is unreadable."""
+        recorded = self.completed.get(filename)
+        report = self._load_result(filename, recorded[1]) \
+            if recorded is not None else None
+        if report is None:
+            return None
+        validation = report.validation
+        arbitration = report.arbitration
+        return {
             "filename": report.filename,
-            "status": getattr(report, "status", ""),
-            "parses": getattr(report, "parses", None),
-            "wall_s": round(getattr(report, "wall_time", 0.0), 4),
-            "diagnostics": [d.as_dict() for d
-                            in getattr(report, "diagnostics", [])],
+            "status": report.status,
+            "parses": report.parses,
+            "wall_s": round(report.wall_time, 4),
+            "diagnostics": [d.as_dict() for d in report.diagnostics],
             "verdicts": dict(sorted(validation.counts().items()))
             if validation is not None else None,
             "divergences": [
@@ -399,25 +362,12 @@ class RunJournal:
             "candidates": [c.as_dict()
                            for c in arbitration.candidates]
             if arbitration is not None else None,
-            "diff": diff,
+            "diff": _shipped_diff(report),
         }
-        name = report.filename.replace(os.sep, "_") + ".json"
-        data = json.dumps(record, indent=2,
-                          sort_keys=True).encode("utf-8") + b"\n"
-        self._publish(os.path.join(self.audit_dir, name), data,
-                      report.filename)
-
-    def read_audit(self, filename: str) -> dict | None:
-        name = filename.replace(os.sep, "_") + ".json"
-        try:
-            with open(os.path.join(self.audit_dir, name),
-                      encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
 
     def events(self) -> list[dict]:
-        """Every parseable journal record, in append order."""
+        """Every parseable journal record, in append order; a torn
+        final line (a crash cut the write short) is skipped."""
         try:
             with open(self.journal_path, encoding="utf-8") as handle:
                 lines = handle.read().splitlines()
@@ -432,6 +382,24 @@ class RunJournal:
             if isinstance(event, dict):
                 out.append(event)
         return out
+
+
+def _shipped_diff(report) -> str | None:
+    """The unified diff from the input of ``report``'s first stage (or
+    backend candidate) to the text the run shipped; ``None`` when no
+    stage saw the input or nothing changed."""
+    candidates = report.arbitration.candidates \
+        if report.arbitration is not None else []
+    results = [c.result for c in candidates] + [report.slr, report.str_]
+    original = next((r.original_text for r in results if r is not None),
+                    None)
+    if original is None or report.final_text == original:
+        return None
+    import difflib
+    return "".join(difflib.unified_diff(
+        original.splitlines(keepends=True),
+        report.final_text.splitlines(keepends=True),
+        fromfile=report.filename, tofile=report.filename + ".fixed"))
 
 
 # --------------------------------------------------------------- registry
@@ -471,9 +439,25 @@ def list_runs(root: str | None = None) -> list[dict]:
 
 
 def latest_run_id(root: str | None = None) -> str | None:
-    """The most recently created run id (ids sort chronologically)."""
-    runs = list_runs(root)
-    return runs[-1]["run_id"] if runs else None
+    """The most recently created run id (ids sort chronologically).
+
+    Names are scanned newest first and the first directory that opens
+    as a run wins, so only that run's journal is read, however many
+    runs have piled up."""
+    root = os.path.abspath(root if root is not None else runs_root())
+    try:
+        names = sorted(os.listdir(root), reverse=True)
+    except OSError:
+        return None
+    for name in names:
+        if not os.path.isdir(os.path.join(root, name)):
+            continue
+        try:
+            RunJournal(name, root=root).load()
+        except RunNotFound:
+            continue
+        return name
+    return None
 
 
 def resolve_run_id(run_id: str, root: str | None = None) -> str:
@@ -510,20 +494,9 @@ def gc_runs(*, max_age_days: float | None = None,
                     doomed.add(name)
             except OSError:
                 continue
-    removed = 0
-    freed = 0
-    for name in sorted(doomed):
-        full = os.path.join(root, name)
-        for dirpath, _dirnames, filenames in os.walk(full):
-            for filename in filenames:
-                try:
-                    freed += os.path.getsize(
-                        os.path.join(dirpath, filename))
-                except OSError:
-                    continue
-        shutil.rmtree(full, ignore_errors=True)
-        removed += 1
-    return {"removed_runs": removed, "freed_bytes": freed}
+    _files, freed = remove_trees(os.path.join(root, name)
+                                 for name in sorted(doomed))
+    return {"removed_runs": len(doomed), "freed_bytes": freed}
 
 
 # ------------------------------------------------------------- quarantine

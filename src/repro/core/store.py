@@ -24,10 +24,11 @@ a later run reads the verify verdict instead of an AST.
   run journals and anything else sharing the cache root survive.
 * **crash-safe concurrent access** — writers pickle to a uniquely named
   temp file in the same directory and publish with :func:`os.replace`
-  (atomic rename).  Racing writers both publish complete entries (last
-  wins, values are equal by construction); readers can never observe a
-  half-written entry.  A corrupt or unreadable entry is treated as a
-  miss and dropped, never an error.
+  (atomic rename; :func:`publish_atomic`, which the run journal shares).
+  Racing writers both publish complete entries (last wins, values are
+  equal by construction); readers can never observe a half-written
+  entry.  A corrupt or unreadable entry is treated as a miss and
+  dropped, never an error.
 * **layering** — :class:`~repro.cfront.cache.ContentCache` consults this
   store between its memory LRU and the compute function (memory → disk →
   compute), so the hot path is unchanged and the disk layer is invisible
@@ -44,7 +45,6 @@ Environment knobs:
 
 from __future__ import annotations
 
-import errno
 import os
 import pickle
 import re
@@ -96,6 +96,51 @@ def default_cache_dir() -> str:
     base = os.environ.get("XDG_CACHE_HOME") \
         or os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "repro")
+
+
+def publish_atomic(path: str, data: bytes, stage: str,
+                   subject: str) -> None:
+    """Write ``data`` at ``path`` atomically: into a uniquely named temp
+    file in the same directory, then :func:`os.replace`.  A reader sees
+    no file or a complete one, whichever of two racing writers wins.
+    On failure the temp file is removed and the ``OSError`` re-raised
+    for the caller to absorb; ``<stage>:disk-full`` fault rules match
+    ``subject``."""
+    directory = os.path.dirname(path)
+    tmp = os.path.join(directory,
+                       f".{os.path.basename(path)}."
+                       f"{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
+    try:
+        faults.check_disk_full(stage, subject)
+        os.makedirs(directory, exist_ok=True)
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def remove_trees(paths) -> tuple[int, int]:
+    """Delete each directory tree in ``paths``; returns the ``(files,
+    bytes)`` they held.  A file that a concurrent remover deletes first
+    is not counted."""
+    files = 0
+    nbytes = 0
+    for path in paths:
+        for dirpath, _dirnames, filenames in os.walk(path):
+            for filename in filenames:
+                try:
+                    nbytes += os.path.getsize(
+                        os.path.join(dirpath, filename))
+                except OSError:
+                    continue
+                files += 1
+        shutil.rmtree(path, ignore_errors=True)
+    return files, nbytes
 
 
 def disk_enabled() -> bool:
@@ -187,44 +232,19 @@ class ArtifactStore:
             return False, None, 0
         return True, value, len(data)
 
-    def _publish(self, path: str, data: bytes) -> bool:
-        """Atomically write ``data`` at ``path`` (tmp + rename)."""
-        directory = os.path.dirname(path)
-        tmp = os.path.join(
-            directory,
-            f".{os.path.basename(path)[:-4]}."
-            f"{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-        try:
-            if faults.faults_enabled() and faults.should_fail_disk(
-                    "store", os.path.basename(path)):
-                raise OSError(errno.ENOSPC,
-                              f"injected disk-full for {path}")
-            os.makedirs(directory, exist_ok=True)
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except OSError as exc:
-            self._warn_once("write", exc)
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
-        return True
-
     def store(self, family: str, key: str, value: object) -> int:
-        """Publish one artifact atomically; returns bytes written (0 if
-        the value could not be pickled or the directory is unwritable).
-
-        Write-to-temp + :func:`os.replace` keeps concurrent publishers
-        safe: a reader sees either no entry or a complete one, never a
-        partial write, whichever of two racing writers wins.
-        """
+        """Publish one artifact atomically (:func:`publish_atomic`);
+        returns bytes written (0 if the value could not be pickled or
+        the directory is unwritable)."""
         try:
             data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return 0
-        if not self._publish(self._entry_path(family, key), data):
+        try:
+            publish_atomic(self._entry_path(family, key), data, "store",
+                           key + ".pkl")
+        except OSError as exc:
+            self._warn_once("write", exc)
             return 0
         return len(data)
 
@@ -275,19 +295,7 @@ class ArtifactStore:
         Tolerates a concurrent clear/gc: entries that vanish between
         the walk and the removal are simply not double-counted.
         """
-        files = 0
-        nbytes = 0
-        for full in self._version_dirs():
-            for dirpath, _dirnames, filenames in os.walk(full):
-                for filename in filenames:
-                    try:
-                        nbytes += os.path.getsize(
-                            os.path.join(dirpath, filename))
-                    except OSError:
-                        continue
-                    files += 1
-            shutil.rmtree(full, ignore_errors=True)
-        return files, nbytes
+        return remove_trees(self._version_dirs())
 
     def gc(self, *, max_age_s: float | None = None,
            tmp_max_age_s: float = TMP_MAX_AGE_S) -> dict[str, int]:
@@ -301,21 +309,8 @@ class ArtifactStore:
         ``max_age_s`` (when given), and any family/shard directories
         left empty afterwards.
         """
-        removed_files = 0
-        freed_bytes = 0
         stale = self.stale_versions()
-        removed_versions = 0
-        for version_dir in stale:
-            for dirpath, _dirnames, filenames in os.walk(version_dir):
-                for filename in filenames:
-                    try:
-                        freed_bytes += os.path.getsize(
-                            os.path.join(dirpath, filename))
-                    except OSError:
-                        continue
-                    removed_files += 1
-            shutil.rmtree(version_dir, ignore_errors=True)
-            removed_versions += 1
+        removed_files, freed_bytes = remove_trees(stale)
         now = time.time()
         for dirpath, _dirnames, filenames in os.walk(self.version_dir):
             for filename in filenames:
@@ -341,7 +336,7 @@ class ArtifactStore:
                 freed_bytes += size
         return {"removed_files": removed_files,
                 "freed_bytes": freed_bytes,
-                "removed_versions": removed_versions,
+                "removed_versions": len(stale),
                 "removed_dirs": self._prune_empty_dirs()}
 
     def _prune_empty_dirs(self) -> int:

@@ -292,6 +292,20 @@ class TestWorkerFaults:
         assert pooled.stats.supervision["retries"] == 3
 
 
+    def test_pool_batch_with_no_task_returns(self):
+        """At jobs=2, a batch whose every file fails to preprocess hands
+        the pool no task; the scheduler must return, not wait."""
+        missing = '#include "missing.h"\nint main(void) { return 0; }\n'
+        program = SourceProgram("no-tasks", {"a.c": missing,
+                                             "b.c": missing})
+        with alarm_after(60):
+            pooled = apply_batch(program, jobs=2)
+        assert [(r.filename, r.status, [d.stage for d in r.diagnostics])
+                for r in pooled.reports] == \
+            [("a.c", STATUS_FAILED, ["preprocess"]),
+             ("b.c", STATUS_FAILED, ["preprocess"])]
+
+
 class TestCorruptStoreFaults:
     def test_corrupt_entries_self_heal(self, monkeypatch, fresh_store):
         # Warm the store, then corrupt every read: results must be

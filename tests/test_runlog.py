@@ -24,15 +24,20 @@ from pathlib import Path
 import pytest
 
 from repro.core.batch import (
-    RETRY_BACKOFF_BASE_S, RETRY_BACKOFF_CAP_S, SourceProgram, apply_batch,
-    retry_backoff,
+    RETRY_BACKOFF_BASE_S, RETRY_BACKOFF_CAP_S, FileTask, SourceProgram,
+    _task_work_key, apply_batch, retry_backoff,
 )
-from repro.core.diagnostics import STATUS_FAILED, STATUS_QUARANTINED
+from repro.core.diagnostics import (
+    KIND_WORKER_DIED, STATUS_FAILED, STATUS_QUARANTINED,
+)
 from repro.core.faults import KILL_EXIT_CODE, FaultRule, should_fire
 from repro.core.runlog import (
-    EVENT_COMPLETED, EVENT_DISPATCHED, RunJournal, RunNotFound, gc_runs,
-    latest_run_id, list_runs, quarantine_key, quarantine_lookup,
+    EVENT_COMPLETED, EVENT_DISPATCHED, EVENT_QUARANTINED, RunJournal,
+    RunNotFound, gc_runs, latest_run_id, list_runs, quarantine_key,
+    quarantine_lookup,
 )
+
+from .test_fault_injection import alarm_after
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -104,7 +109,8 @@ class TestJournalRoundTrip:
             assert audit["diff"]            # strcpy fix → non-empty diff
             assert audit["parses"] is True
 
-    def test_resume_completed_run_replays_everything(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resume_completed_run_replays_everything(self, tmp_path, jobs):
         program = make_program(3)
         root = str(tmp_path / "runs")
         first = RunJournal("run-a", root=root)
@@ -115,12 +121,53 @@ class TestJournalRoundTrip:
         resumed = RunJournal("run-a", root=root)
         resumed.load()
         assert resumed.resumed
-        replay = apply_batch(program, jobs=1, validate=False,
-                             journal=resumed)
+        # Every file replays, so no task reaches the pool at jobs=2.
+        with alarm_after(60):
+            replay = apply_batch(program, jobs=jobs, validate=False,
+                                 journal=resumed)
         assert replay.stats.replayed == 3
         assert report_essence(replay) == report_essence(clean)
         # Replayed files are not re-journaled: the WAL does not grow.
         assert len(resumed.events()) == events_before
+
+    def test_run_directory_holds_one_record_per_file(self, tmp_path):
+        """A journaled ``repro batch --validate`` leaves the manifest,
+        the journal and one result record per file — no audit files —
+        and never imports ``difflib``: audits are built when read."""
+        src = tmp_path / "src"
+        src.mkdir()
+        for name, text in make_files(3, tag="-records").items():
+            (src / name).write_text(text)
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {REPO_SRC!r})\n"
+            "from repro.cli import main\n"
+            f"code = main(['batch', {str(src)!r}, '--validate', '-j', '1',"
+            " '--run-id', 'records'])\n"
+            "assert code == 0, code\n"
+            "print('difflib' in sys.modules)\n")
+        env = {**os.environ, "REPRO_CACHE_DIR": str(tmp_path / "cache"),
+               "REPRO_RUN_DIR": str(tmp_path / "runs")}
+        env.pop("REPRO_FAULTS", None)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+        run_dir = tmp_path / "runs" / "records"
+        stored = sorted(str(path.relative_to(run_dir))
+                        for path in run_dir.rglob("*") if path.is_file())
+        assert stored[:2] == ["journal.jsonl", "manifest.json"]
+        assert len(stored) == 5
+        assert all(name.startswith("results" + os.sep)
+                   and name.endswith(".pkl") for name in stored[2:])
+
+        journal = RunJournal("records", root=str(tmp_path / "runs"))
+        journal.load()
+        for name in sorted(make_files(3)):
+            audit = journal.read_audit(name)
+            assert audit["status"] == "ok"
+            assert audit["diff"].startswith(f"--- {name}\n+++ {name}.fixed")
+            assert sum(audit["verdicts"].values()) > 0
 
     def test_resume_unknown_run_raises(self, tmp_path):
         journal = RunJournal("nope", root=str(tmp_path / "runs"))
@@ -435,6 +482,61 @@ class TestQuarantine:
         assert second.stats.quarantined == 0
         assert all(r.status == STATUS_FAILED for r in second.reports)
 
+    def test_quarantined_files_have_records(
+            self, fresh_store, tmp_path, monkeypatch):
+        """Every terminal event has a record behind it, quarantined ones
+        included, so ``runs show`` builds their audits too."""
+        monkeypatch.setenv("REPRO_FAULTS", "slr:kill:1.0")
+        root = str(tmp_path / "runs")
+        program = make_program(2, tag="-qrec")
+        self._run(program, "q1", root)
+        self._run(program, "q2", root)
+
+        journal = RunJournal("q2", root=root)
+        journal.load()
+        assert {kind for kind, _key in journal.completed.values()} == \
+            {EVENT_QUARANTINED}
+        assert sorted(os.listdir(journal.results_dir)) == sorted(
+            key + ".pkl" for _kind, key in journal.completed.values())
+        for name in program.files:
+            audit = journal.read_audit(name)
+            assert audit["status"] == STATUS_QUARANTINED
+            assert audit["diff"] is None
+            assert "run q1" in audit["diagnostics"][0]["message"]
+
+    def test_file_condemned_mid_run_keeps_its_own_record(
+            self, fresh_store, tmp_path, monkeypatch):
+        """A worker death quarantines content mid-run, so a later file
+        with that content is skipped as quarantined.  The two share a
+        work key, yet each keeps its own record: the first still shows
+        and replays as failed."""
+        import repro.core.batch as batch_module
+        files = make_files(2, tag="-mid")
+        files["file99.c"] = files["file00.c"]
+        program = SourceProgram("mid-run", files)
+        transform = batch_module.transform_file
+
+        def dies_on_file00(task, session=None):
+            if task.filename == "file00.c":
+                return batch_module._supervisor_report(
+                    task, KIND_WORKER_DIED, "worker died")
+            return transform(task, session)
+
+        monkeypatch.setattr(batch_module, "transform_file", dies_on_file00)
+        root = str(tmp_path / "runs")
+        statuses = [STATUS_FAILED, "ok", STATUS_QUARANTINED]
+        first = self._run(program, "mid", root)
+        assert [r.status for r in first.reports] == statuses
+
+        journal = RunJournal("mid", root=root)
+        journal.load()
+        assert [journal.read_audit(name)["status"]
+                for name in sorted(files)] == statuses
+        replay = apply_batch(program, jobs=1, validate=False,
+                             journal=journal)
+        assert replay.stats.replayed == 2
+        assert [r.status for r in replay.reports] == statuses
+
     def test_healthy_batch_records_no_quarantine(
             self, fresh_store, tmp_path):
         from repro.core.session import get_session
@@ -497,6 +599,23 @@ class TestRunRegistry:
         assert all(r["completed"] == 1 for r in runs)
         assert latest_run_id(root) == "20260102-000000-bbbbbb"
 
+    def test_latest_opens_one_run(self, tmp_path, monkeypatch):
+        """``latest`` reads the newest run's journal only, not every
+        run's: its cost does not grow with the run history."""
+        root = str(tmp_path / "runs")
+        for day in range(1, 5):
+            self._make_run(root, f"2026010{day}-000000-aaaaaa")
+        opened = []
+        load = RunJournal.load
+
+        def spy(journal):
+            opened.append(journal.run_id)
+            return load(journal)
+
+        monkeypatch.setattr(RunJournal, "load", spy)
+        assert latest_run_id(root) == "20260104-000000-aaaaaa"
+        assert opened == ["20260104-000000-aaaaaa"]
+
     def test_gc_keep(self, tmp_path):
         root = str(tmp_path / "runs")
         for run_id in ("r1", "r2", "r3"):
@@ -512,6 +631,68 @@ class TestRunRegistry:
         assert gc_runs(root=root) == {"removed_runs": 0,
                                       "freed_bytes": 0}
         assert len(list_runs(root)) == 1
+
+
+# -------------------------------------------------------------- work key
+
+
+class TestWorkKey:
+    """A journaled verdict replays only onto the oracle settings it was
+    judged under: the probe seed in effect and the oracle's budgets."""
+
+    @pytest.fixture(autouse=True)
+    def _oracle_env(self, monkeypatch):
+        for name in ("REPRO_VALIDATE_SEED", "REPRO_VALIDATE_STEPS",
+                     "REPRO_VALIDATE_MEM", "REPRO_FAULTS"):
+            monkeypatch.delenv(name, raising=False)
+
+    @staticmethod
+    def probes(result):
+        return {r.filename: [(v.input.name, v.input.stdin)
+                             for v in r.validation.verdicts]
+                for r in result.reports}
+
+    def test_resume_under_changed_seed_recomputes(
+            self, fresh_store, tmp_path, monkeypatch):
+        program = make_program(2, tag="-seed")
+        root = str(tmp_path / "runs")
+        first = RunJournal("seeded", root=root)
+        first.begin(program, {"validate": True})
+        original = apply_batch(program, jobs=1, validate=True,
+                               journal=first)
+
+        monkeypatch.setenv("REPRO_VALIDATE_SEED", "987654")
+        fresh = apply_batch(program, jobs=1, validate=True)
+        resumed = RunJournal("seeded", root=root)
+        resumed.load()
+        replay = apply_batch(program, jobs=1, validate=True,
+                             journal=resumed)
+        assert replay.stats.replayed == 0
+        assert self.probes(replay) == self.probes(fresh)
+        assert self.probes(replay) != self.probes(original)
+
+    @pytest.mark.parametrize("knob,value", [
+        ("REPRO_VALIDATE_SEED", "987654"),
+        ("REPRO_VALIDATE_STEPS", "12345"),
+        ("REPRO_VALIDATE_MEM", "4096"),
+    ])
+    @pytest.mark.parametrize("mode", [
+        {"validate": True}, {"backends": ("slr", "str")}])
+    def test_oracle_settings_change_the_key(self, monkeypatch, knob,
+                                            value, mode):
+        task = FileTask("a.c", "int main(void) { return 0; }\n", **mode)
+        before = _task_work_key(task)
+        monkeypatch.setenv(knob, value)
+        assert _task_work_key(task) != before
+
+    def test_explicit_seed_matches_environment_seed(self, monkeypatch):
+        text = "int main(void) { return 0; }\n"
+        monkeypatch.setenv("REPRO_VALIDATE_SEED", "987654")
+        from_env = _task_work_key(FileTask("a.c", text, validate=True))
+        monkeypatch.delenv("REPRO_VALIDATE_SEED")
+        explicit = _task_work_key(FileTask("a.c", text, validate=True,
+                                           fuzz_seed=987654))
+        assert from_env == explicit
 
 
 # ------------------------------------------------------------------- CLI
