@@ -110,15 +110,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "hits": self.hits,
-                "misses": self.misses, "evictions": self.evictions,
-                "hit_rate": round(self.hit_rate, 4),
-                "disk_hits": self.disk_hits,
-                "disk_misses": self.disk_misses,
-                "bytes_read": self.bytes_read,
-                "bytes_written": self.bytes_written}
-
     def delta(self, earlier: "CacheStats") -> "CacheStats":
         return CacheStats(self.name, self.hits - earlier.hits,
                           self.misses - earlier.misses,
@@ -244,15 +235,6 @@ _PREFIX_CACHES: list[PrefixCache] = []
 
 def all_cache_stats() -> list[CacheStats]:
     return [cache.stats for cache in _REGISTRY.values()]
-
-
-def snapshot_stats() -> dict[str, CacheStats]:
-    """A point-in-time copy of every cache's counters (for deltas)."""
-    return {name: CacheStats(name, c.stats.hits, c.stats.misses,
-                             c.stats.evictions, c.stats.disk_hits,
-                             c.stats.disk_misses, c.stats.bytes_read,
-                             c.stats.bytes_written)
-            for name, c in _REGISTRY.items()}
 
 
 def clear_all_caches() -> None:

@@ -338,9 +338,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     quarantine_note = f"/{counts['quarantined']}" \
         if counts.get("quarantined") else ""
     if journal is not None:
-        stats = batch.stats
         print(f"run {journal.run_id}: journaled to {journal.run_dir} "
-              f"({stats.replayed} replayed, {stats.quarantined} "
+              f"({batch.info.replayed} replayed, {batch.info.quarantined} "
               f"quarantined); resume with --resume {journal.run_id}",
               file=sys.stderr)
     if arbitrated:

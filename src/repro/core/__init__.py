@@ -16,7 +16,7 @@ from .backends import (
     scoreboard, unregister_backend,
 )
 from .batch import (
-    BatchResult, BatchStats, FileTask, FileTransformReport,
+    BatchResult, FileTask, FileTransformReport,
     ProcessPoolExecutor, SerialExecutor, SourceProgram, apply_batch,
     make_executor, transform_file,
 )
@@ -43,7 +43,7 @@ __all__ = [
     "backend_ids", "get_backend", "register_backend",
     "resolve_backends", "scoreboard", "unregister_backend",
     "S3_ALTERNATIVES", "S3LibraryReplacement", "apply_s3lib",
-    "BatchResult", "BatchStats", "FileTask", "FileTransformReport",
+    "BatchResult", "FileTask", "FileTransformReport",
     "ProcessPoolExecutor", "SerialExecutor", "SourceProgram",
     "apply_batch", "make_executor", "transform_file",
     "BufferLength", "BufferLengthAnalyzer", "LengthFailure",

@@ -15,13 +15,15 @@ Execution is pluggable: :class:`SerialExecutor` runs in-process;
 fork pool (``jobs=N`` / ``REPRO_JOBS``).  Both produce byte-identical
 results — tasks are ordered by filename and the pool preserves input
 order — so a parallel run differs from a serial one only in wall clock.
-Dispatch is a *streaming work queue*: the pool pulls tasks from a lazy
-source no more than :func:`stream_window` files ahead of emission and
-streams results back in input order as they complete, so the parent's
-working set is O(jobs + window), not O(batch).  :func:`apply_batch`
-collects the stream into a :class:`BatchResult`; :func:`stream_batch`
-exposes it directly for batch sizes where retaining every report is the
-bottleneck.
+Dispatch is one bounded stream, :class:`BatchStream`: its task source
+yields, per file in filename order, either a :class:`FileTask` or a
+report that is already final (a preprocess failure, a journal replay, a
+quarantined file), and the executor passes a final report through in
+its place.  The executor pulls no more than :func:`stream_window` items
+ahead of emission and emits in input order as results complete, so the
+parent's working set is O(jobs + window) on every path, a resume
+included.  :func:`stream_batch` exposes the stream; :func:`apply_batch`
+collects it into a :class:`BatchResult`.
 
 The whole pipeline is *fault-isolated*: every stage (preprocess, parse,
 SLR, STR, verify, validate) runs inside a guard that converts an
@@ -40,7 +42,6 @@ stage for chaos testing.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import os
@@ -48,8 +49,7 @@ import pickle
 import time
 from dataclasses import dataclass, field
 
-from ..cfront.cache import CacheStats, ContentCache, content_key, \
-    snapshot_stats
+from ..cfront.cache import ContentCache, content_key
 from ..cfront.source import count_source_lines
 from . import faults, profile
 from .diagnostics import (
@@ -111,13 +111,6 @@ def stream_window(jobs: int) -> int:
     return max(16, 4 * max(1, jobs))
 
 
-#: How many representative reports the streaming batch retains for
-#: content deduplication.  A duplicate file whose representative was
-#: already evicted is simply recomputed — correctness never depends on
-#: the window, only the dedup hit rate does.
-DEDUP_WINDOW = 4096
-
-
 @dataclass
 class SourceProgram:
     """A C program: source files, private headers, predefined macros."""
@@ -140,30 +133,22 @@ class SourceProgram:
         return sum(count_source_lines(text)
                    for text in self.files.values()) / 1000.0
 
-    def preprocess(self, session: AnalysisSession | None = None,
-                   *, timings: dict[str, float] | None = None
+    def preprocess(self, session: AnalysisSession | None = None
                    ) -> "SourceProgram":
         """Preprocess every file; returns a new, preprocessed program.
 
         Memoized on the instance (Tables III–VI all query it, some more
         than once) and served from the session's content-keyed cache, so
         identical file text is only ever preprocessed once per process.
-        ``timings`` (when given) receives per-file wall seconds for the
-        stage profiler.
         """
         if self.preprocessed:
             return self
         if self._pp_memo is not None:
             return self._pp_memo
         session = session if session is not None else get_session()
-        out = {}
-        for filename, text in self.files.items():
-            start = time.perf_counter()
-            out[filename] = session.preprocess(text, filename,
-                                               self.headers,
-                                               self.predefined).text
-            if timings is not None:
-                timings[filename] = time.perf_counter() - start
+        out = {filename: session.preprocess(text, filename, self.headers,
+                                            self.predefined).text
+               for filename, text in self.files.items()}
         self._pp_memo = SourceProgram(self.name, out, {}, {},
                                       self.main_file, preprocessed=True)
         return self._pp_memo
@@ -382,7 +367,9 @@ def _empty_supervision() -> dict[str, int]:
 
 
 class SerialExecutor:
-    """Run every task in the calling process, in task order."""
+    """Run every task in the calling process, in task order.  A
+    finished :class:`FileTransformReport` among the tasks passes
+    through in its place."""
 
     jobs = 1
 
@@ -392,11 +379,12 @@ class SerialExecutor:
 
     def imap(self, tasks, *, window: int | None = None):
         """Stream ``(index, report)`` pairs in task order; the task
-        source is consumed one task at a time, so parent memory never
+        source is consumed one item at a time, so parent memory never
         holds more than the in-flight file."""
         for index, task in enumerate(tasks):
             self.max_inflight = max(self.max_inflight, 1)
-            yield index, transform_file(task)
+            yield index, task if isinstance(task, FileTransformReport) \
+                else transform_file(task)
 
 
 def _pool_worker(inbox, result_queue, lifeline) -> None:
@@ -504,15 +492,18 @@ class ProcessPoolExecutor:
     def imap(self, tasks, *, window: int | None = None):
         """Stream ``(index, report)`` pairs back in task order as they
         complete, pulling from ``tasks`` (any iterable) no more than
-        ``window`` files ahead of emission.
+        ``window`` files ahead of emission.  A finished
+        :class:`FileTransformReport` among the tasks needs no worker: it
+        takes its place in the window as a completed result.
 
         This is the streaming work-queue scheduler: the parent's
-        working set — unpicked task texts, out-of-order results waiting
-        for the emission head, and the workers' in-flight tasks — is
-        bounded by the window, so a 10k-file batch costs the parent the
-        same memory as a window-sized one.  Emission order is
-        deterministic input order at any worker count, through every
-        watchdog kill, dead-worker respawn and retry.
+        working set — unpicked task texts, finished reports and
+        out-of-order results waiting for the emission head, and the
+        workers' in-flight tasks — is bounded by the window, so a
+        10k-file batch costs the parent the same memory as a
+        window-sized one.  Emission order is deterministic input order
+        at any worker count, through every watchdog kill, dead-worker
+        respawn and retry.
         """
         if window is None:
             window = stream_window(self.jobs)
@@ -556,12 +547,13 @@ class ProcessPoolExecutor:
     def _stream(self, ctx, task_iter, *, window: int):
         """The supervised streaming loop behind :meth:`imap`.
 
-        ``held`` maps every pulled-but-unemitted index to its task (the
-        retry source); ``ready`` holds completed reports waiting for the
-        emission head.  Both are bounded by the window, so the parent
-        never retains the whole batch.  Workers are spawned on demand —
-        at most ``jobs``, and never more than there are tasks to hand
-        out — and a spawn that follows a death is counted as a respawn.
+        ``held`` maps every pulled-but-unemitted task's index to the
+        task (the retry source); ``ready`` holds completed and finished
+        reports waiting for the emission head.  Both are bounded by the
+        window, so the parent never retains the whole batch.  Workers
+        are spawned on demand — at most ``jobs``, and never more than
+        there are tasks to hand out — and a spawn that follows a death
+        is counted as a respawn.
 
         An index is *settled* once it has a report in ``ready`` or was
         emitted.  The watchdog or the reaper can act on a worker whose
@@ -592,14 +584,12 @@ class ProcessPoolExecutor:
         self._deaths_to_respawn = 0
         try:
             while True:
-                emitted = False
                 while next_emit in ready:
                     report = ready.pop(next_emit)
                     held.pop(next_emit, None)
                     attempts.pop(next_emit, None)
                     yield next_emit, report
                     next_emit += 1
-                    emitted = True
                 now = time.monotonic()
                 for when, index in list(retry_at):
                     if when <= now:
@@ -611,8 +601,11 @@ class ProcessPoolExecutor:
                     except StopIteration:
                         exhausted = True
                         break
-                    held[next_pull] = task
-                    pending.append(next_pull)
+                    if isinstance(task, FileTransformReport):
+                        ready[next_pull] = task
+                    else:
+                        held[next_pull] = task
+                        pending.append(next_pull)
                     next_pull += 1
                 # After the pull: a source that yields no task at all
                 # leaves nothing to wait for.
@@ -631,8 +624,10 @@ class ProcessPoolExecutor:
                     workers.append(worker)
                     index = pending.pop(0)
                     worker.assign(index, held[index])
-                if not self._drain(result_queue, ready, workers) \
-                        and not emitted:
+                # A finished report at the head has no worker to wake
+                # the wait: loop round and emit it first.
+                if next_emit not in ready \
+                        and not self._drain(result_queue, ready, workers):
                     wait([result_queue._reader]
                          + [worker.process.sentinel for worker in workers],
                          self._next_deadline(workers, retry_at))
@@ -779,67 +774,20 @@ def make_executor(jobs: int | None = None):
 # ------------------------------------------------------------- aggregation
 
 @dataclass
-class BatchStats:
-    """Where the batch spent its time and how the caches fared.
+class StreamInfo:
+    """What a :class:`BatchStream` learned while it ran (final after the
+    stream is exhausted)."""
 
-    Cache counters are deltas over the run as seen by *this* process;
-    a fork pool's in-worker hits show up in per-file wall times instead
-    (worker caches are not merged back).  ``stage_times`` holds each
-    file's per-stage breakdown (shipped back from workers, so it is
-    complete at any worker count); ``stage_totals`` sums them.
-    ``deduplicated`` counts tasks served by another task's result
-    because their content was identical.
-    """
-
-    jobs: int
-    wall_time: float
-    file_walls: dict[str, float] = field(default_factory=dict)
-    parse: CacheStats = field(default_factory=CacheStats)
-    preprocess: CacheStats = field(default_factory=CacheStats)
-    slr: CacheStats = field(default_factory=CacheStats)
-    str_: CacheStats = field(default_factory=CacheStats)
-    validate: CacheStats = field(default_factory=CacheStats)
-    backend: CacheStats = field(default_factory=CacheStats)
-    stage_times: dict[str, dict[str, float]] = field(default_factory=dict)
-    deduplicated: int = 0
+    jobs: int = 1
+    #: Files served straight from an attached run journal (``--resume``).
+    replayed: int = 0
+    #: Files skipped because a previous journaled run quarantined their
+    #: content (shipped verbatim, status ``quarantined``).
+    quarantined: int = 0
     #: Supervision tallies from the executor (fork pool only): tasks
     #: retried, watchdog timeouts, workers that died, workers respawned.
-    supervision: dict[str, int] = field(default_factory=_empty_supervision)
-    #: Arbitration tallies (zero outside ``--backends`` mode): candidate
-    #: runs attempted across all files, and candidates the judge
-    #: disqualified (semantics-changed or non-parsing output).
-    backends_attempted: int = 0
-    backends_rejected: int = 0
-    #: Run-journal tallies (zero without ``--resume``/journaling):
-    #: files replayed from the journal and files skipped as quarantined.
-    replayed: int = 0
-    quarantined: int = 0
-
-    @property
-    def stage_totals(self) -> dict[str, float]:
-        return profile.merge_totals(self.stage_times)
-
-    def as_dict(self) -> dict:
-        return {"jobs": self.jobs,
-                "wall_time_s": round(self.wall_time, 4),
-                "file_walls_s": {name: round(wall, 4)
-                                 for name, wall
-                                 in sorted(self.file_walls.items())},
-                "parse_cache": self.parse.as_dict(),
-                "preprocess_cache": self.preprocess.as_dict(),
-                "slr_cache": self.slr.as_dict(),
-                "str_cache": self.str_.as_dict(),
-                "validate_cache": self.validate.as_dict(),
-                "backend_cache": self.backend.as_dict(),
-                "stage_totals_s": {name: round(seconds, 4)
-                                   for name, seconds
-                                   in sorted(self.stage_totals.items())},
-                "deduplicated": self.deduplicated,
-                "supervision": dict(self.supervision),
-                "backends_attempted": self.backends_attempted,
-                "backends_rejected": self.backends_rejected,
-                "replayed": self.replayed,
-                "quarantined": self.quarantined}
+    supervision: dict[str, int] = field(
+        default_factory=_empty_supervision)
 
 
 @dataclass
@@ -848,7 +796,8 @@ class BatchResult:
 
     program: SourceProgram
     reports: list[FileTransformReport]
-    stats: BatchStats | None = None
+    info: StreamInfo = field(default_factory=StreamInfo)
+    wall_time: float = 0.0                      # seconds, in the parent
 
     @property
     def transformed_program(self) -> SourceProgram:
@@ -978,15 +927,15 @@ class BatchResult:
 
 
 def _task_work_key(task: FileTask) -> str:
-    """What a task's outcome depends on — *not* the filename, except
-    when the oracle runs (its fuzz probes are seeded per file) or when
-    fault injection is armed (faults fire per file name, so identical
-    content may legitimately diverge)."""
-    parts = ["task", task.text, str(task.run_slr), str(task.run_str),
-             task.profile]
+    """What a task's outcome depends on: the file name (diagnostics name
+    it, the oracle seeds its probes with it, faults fire per name), the
+    text and the settings.  Each file of a batch therefore has its own
+    key, and so its own journal record."""
+    parts = ["task", task.filename, task.text, str(task.run_slr),
+             str(task.run_str), task.profile]
     # The oracle's verdicts depend on the probe bytes (the per-file
     # seed in effect) and on its step and allocation budgets.
-    oracle = [task.filename, str(file_seed(task.filename, task.fuzz_seed)),
+    oracle = [str(file_seed(task.filename, task.fuzz_seed)),
               str(oracle_step_limit()), str(oracle_mem_limit())]
     if task.backends:
         # Arbitration outcomes depend on the backend chain and the
@@ -995,11 +944,6 @@ def _task_work_key(task: FileTask) -> str:
                   *oracle]
     if task.validate:
         parts += oracle
-    if faults.faults_enabled() and faults.affects_results():
-        # Scheduler-only faults (journal/dispatch parent-kill) never
-        # change report content, so they stay out of the key — the run
-        # they crash must resume onto the keys it journaled.
-        parts += ["faults", task.filename]
     return content_key(*parts)
 
 
@@ -1009,12 +953,13 @@ def _preprocess_failure_report(filename: str, original_text: str,
     """The ``failed`` report for a file that never preprocessed: the
     original text ships verbatim (nothing was made worse)."""
     return FileTransformReport(
-        filename, None, None, original_text, True, wall, None, {},
-        status=STATUS_FAILED, diagnostics=[diagnostic])
+        filename, None, None, original_text, True, wall, None,
+        {"preprocess": wall}, status=STATUS_FAILED,
+        diagnostics=[diagnostic])
 
 
-def _quarantined_report(filename: str, text: str,
-                        entry: dict) -> FileTransformReport:
+def _quarantined_report(filename: str, text: str, entry: dict,
+                        seconds: float) -> FileTransformReport:
     """The report for a known poison file: input shipped verbatim with
     status ``quarantined`` and a diagnostic naming the run that first
     condemned it — no retry/timeout budget is spent."""
@@ -1023,63 +968,31 @@ def _quarantined_report(filename: str, text: str,
                f"{entry.get('attempts', 1)} attempt(s) "
                f"({entry.get('kind', '?')}: {entry.get('message', '')})")
     return FileTransformReport(
-        filename, None, None, text, True, 0.0, None, {},
-        status=STATUS_QUARANTINED,
+        filename, None, None, text, True, 0.0, None,
+        {"preprocess": seconds}, status=STATUS_QUARANTINED,
         diagnostics=[FileDiagnostic(filename, "worker", KIND_QUARANTINED,
                                     message)])
-
-
-_PENDING = object()     # dedup sentinel: representative still computing
-
-#: Slot kinds for the streaming emission queue.
-_SLOT_REPORT = 0        # resolved report (preprocess failure)
-_SLOT_UNIQUE = 1        # representative task, waiting on the executor
-_SLOT_DUP = 2           # duplicate content, waiting on its representative
-
-
-@dataclass
-class StreamInfo:
-    """What a :class:`BatchStream` learned while it ran (final after the
-    stream is exhausted)."""
-
-    jobs: int = 1
-    window: int = 0
-    #: Peak count of unemitted *reports* the parent held (executor
-    #: in-flight plus resolved representatives awaiting their emission
-    #: turn) — the memory-bound witness.  Duplicate-file bookkeeping is
-    #: a constant-size tuple per file and is not counted.
-    max_buffered: int = 0
-    emitted: int = 0
-    deduplicated: int = 0
-    preprocess_failures: int = 0
-    #: Files served straight from an attached run journal (``--resume``).
-    replayed: int = 0
-    #: Files skipped because a previous journaled run quarantined their
-    #: content (shipped verbatim, status ``quarantined``).
-    quarantined: int = 0
-    supervision: dict[str, int] = field(
-        default_factory=_empty_supervision)
-    #: Per-file parent-side preprocess wall seconds (empty when the
-    #: program was already preprocessed or served from its memo).
-    pp_timings: dict[str, float] = field(default_factory=dict)
 
 
 class BatchStream:
     """Stream one program's transform reports in filename order.
 
-    The lazy counterpart of :func:`apply_batch`: files are preprocessed
-    in the parent *as the scheduler asks for them* (incremental
-    pre-warm), content deduplication runs against a bounded LRU of
-    representative reports, and completed reports are yielded to the
-    caller the moment their turn in filename order comes up.  The
-    parent therefore holds O(window + dedup window) state instead of
-    O(batch) — at 10k files it never retains 10k reports — while
-    emission order, per-report content, and fault containment match
-    :func:`apply_batch` exactly.
+    The task source preprocesses each file in the parent as the
+    executor asks for it (an incremental pre-warm of the store) and
+    yields either the :class:`FileTask` a worker must compute or the
+    report of a file that needs no worker: a preprocess failure, a
+    journal replay (``--resume``), a quarantined file.  The executor
+    passes such a report through in its place, inside the same
+    :func:`stream_window`, so the parent holds O(window) reports on
+    every path, a resume included; ``executor.max_inflight`` records
+    the high-water mark.  Every file is computed under its own name:
+    files with identical text share only the content-keyed preprocess,
+    SLR, STR and verify caches.  The parent's preprocess seconds land on
+    the ``stage_times`` of every report the stream makes; a replayed
+    report keeps the times it was recorded with.
 
-    Iterate it once; ``info`` is complete after exhaustion.  Consumers
-    that need the whole batch in memory should use :func:`apply_batch`,
-    which collects this stream and adds the cache-delta statistics.
+    Iterate it once; ``info`` is complete after exhaustion.
+    :func:`apply_batch` collects it into a :class:`BatchResult`.
     """
 
     def __init__(self, program: SourceProgram, *, run_slr: bool = True,
@@ -1089,9 +1002,6 @@ class BatchStream:
                  fuzz_seed: int | None = None,
                  backends=None,
                  session: AnalysisSession | None = None,
-                 window: int | None = None,
-                 dedup_cap: int | None = None,
-                 memoize_preprocess: bool = False,
                  journal=None):
         self.program = program
         #: Optional :class:`repro.core.runlog.RunJournal`.  When set,
@@ -1107,15 +1017,15 @@ class BatchStream:
             else validate
         self.fuzz_seed = fuzz_seed
         self.backend_ids = resolve_backends(backends) if backends else None
-        self.executor = make_executor(jobs)
-        self.window = window if window is not None \
-            else stream_window(self.executor.jobs)
-        self.dedup_cap = DEDUP_WINDOW if dedup_cap is None else dedup_cap
-        self.memoize_preprocess = memoize_preprocess
-        self.info = StreamInfo(jobs=self.executor.jobs,
-                               window=self.window)
-        self._reps: dict[str, object] = {}        # work key -> report
-        self._pins: dict[str, int] = {}           # keys dup slots await
+        executor = make_executor(jobs)
+        self.info = StreamInfo(jobs=executor.jobs)
+        # A single-file program gains nothing from forking; the
+        # requested job count still lands in ``info.jobs``.
+        self.executor = SerialExecutor() if program.file_count <= 1 \
+            else executor
+        #: index -> (work key, parent preprocess seconds) of every task
+        #: handed to the executor and not yet emitted.
+        self._dispatched: dict[int, tuple[str, float]] = {}
         self._gen = self._run()
 
     def __iter__(self):
@@ -1124,65 +1034,39 @@ class BatchStream:
     def __next__(self):
         return next(self._gen)
 
-    def _trim_reps(self) -> None:
-        """Evict resolved, unpinned representatives beyond the cap
-        (oldest first — plain dicts preserve insertion order)."""
-        if self.dedup_cap <= 0:
-            return
-        while len(self._reps) > self.dedup_cap:
-            for key, value in self._reps.items():
-                if value is _PENDING or key in self._pins:
-                    continue
-                del self._reps[key]
-                break
-            else:
-                return      # everything live; the cap yields to safety
-
-    def _build_tasks(self, slots, unique_keys, pp_texts):
-        """Generate unique tasks lazily, recording a slot per file.
-
-        Runs in the parent, driven by the executor's dispatch window:
-        each pull preprocesses (and thereby pre-warms the store for)
-        exactly one more file.  Duplicate-content files pin their
-        representative's entry and yield nothing.
-        """
+    def _sources(self):
+        """Yield, per file in filename order, the task to compute or the
+        report that is already final.  Runs in the parent, driven by the
+        executor's dispatch window: each pull preprocesses exactly one
+        more file."""
         program = self.program
-        memo = program._pp_memo
-        for filename in sorted(program.files):
+        for index, filename in enumerate(sorted(program.files)):
+            source = program.files[filename]
+            start = time.perf_counter()
             if program.preprocessed:
-                text = program.files[filename]
-            elif memo is not None:
-                text = memo.files[filename]
+                text = source
             else:
-                start = time.perf_counter()
                 try:
                     faults.check("preprocess", filename)
                     text = self.session.preprocess(
-                        program.files[filename], filename,
-                        program.headers, program.predefined).text
+                        source, filename, program.headers,
+                        program.predefined).text
                 except Exception as exc:
-                    wall = time.perf_counter() - start
-                    self.info.pp_timings[filename] = wall
-                    self.info.preprocess_failures += 1
                     failure = _preprocess_failure_report(
-                        filename, program.files[filename],
-                        diagnostic_from_exception(
-                            "preprocess", filename, exc),
-                        wall)
+                        filename, source,
+                        diagnostic_from_exception("preprocess", filename,
+                                                  exc),
+                        time.perf_counter() - start)
                     if self.journal is not None:
-                        # The diagnostic names the file, so the record
-                        # is keyed by name as well as content.
+                        # No preprocessed text, so no work key: the
+                        # record is keyed by name and source.
                         self.journal.record_result(
                             filename,
-                            content_key("pp-fail", filename,
-                                        program.files[filename]),
+                            content_key("pp-fail", filename, source),
                             failure)
-                    slots.append((filename, _SLOT_REPORT, failure))
+                    yield failure
                     continue
-                self.info.pp_timings[filename] = \
-                    time.perf_counter() - start
-                if pp_texts is not None:
-                    pp_texts[filename] = text
+            seconds = time.perf_counter() - start
             task = FileTask(filename, text, self.run_slr, self.run_str,
                             self.profile, self.validate, self.fuzz_seed,
                             self.backend_ids)
@@ -1195,37 +1079,20 @@ class BatchStream:
                 replayed = self.journal.replay(filename, key)
                 if replayed is not None:
                     self.info.replayed += 1
-                    slots.append((filename, _SLOT_REPORT, replayed))
+                    yield replayed
                     continue
                 from .runlog import quarantine_lookup
                 entry = quarantine_lookup(text)
                 if entry is not None:
                     self.info.quarantined += 1
-                    report = _quarantined_report(filename, text, entry)
-                    # Keyed by name too: a computed file with the same
-                    # work key keeps its own record.
-                    record_key = content_key(STATUS_QUARANTINED,
-                                             filename, key)
-                    self.journal.write_audit(record_key, report)
-                    self.journal.record_quarantined(filename, record_key,
-                                                    entry)
-                    slots.append((filename, _SLOT_REPORT, report))
+                    report = _quarantined_report(filename, text, entry,
+                                                 seconds)
+                    self.journal.write_audit(key, report)
+                    self.journal.record_quarantined(filename, key, entry)
+                    yield report
                     continue
-            if key in self._reps:
-                self.info.deduplicated += 1
-                self._pins[key] = self._pins.get(key, 0) + 1
-                slots.append((filename, _SLOT_DUP, key))
-                continue
-            self._reps[key] = _PENDING
-            # The pin keeps a resolved-but-not-yet-emitted
-            # representative safe from _trim_reps until its slot (and
-            # every duplicate's) has been served.
-            self._pins[key] = self._pins.get(key, 0) + 1
-            self._trim_reps()
-            unique_keys.append(key)
-            slots.append((filename, _SLOT_UNIQUE, key))
-            if self.journal is not None:
                 self.journal.record_dispatched(filename, key)
+            self._dispatched[index] = (key, seconds)
             yield task
 
     def _journal_emission(self, filename: str, key: str,
@@ -1247,80 +1114,24 @@ class BatchStream:
                 return
 
     def _run(self):
-        from collections import deque
-        slots: deque = deque()
-        unique_keys: deque = deque()
-        pp_texts: dict[str, str] | None = \
-            {} if self.memoize_preprocess else None
-        # A single-file program gains nothing from forking (the
-        # historical executor fallback for trivial batches); the
-        # requested job count still lands in ``info.jobs``.
-        runner = SerialExecutor() if self.program.file_count <= 1 \
-            and self.executor.jobs > 1 else self.executor
-        results = runner.imap(
-            self._build_tasks(slots, unique_keys, pp_texts),
-            window=self.window)
-        exhausted = False
-        resolved_unemitted = 0
-        while True:
-            buffered = len(unique_keys) + resolved_unemitted
-            if buffered > self.info.max_buffered:
-                self.info.max_buffered = buffered
-            while slots:
-                filename, kind, value = slots[0]
-                if kind == _SLOT_REPORT:
-                    slots.popleft()
-                    self.info.emitted += 1
-                    yield value
-                    continue
-                report = self._reps.get(value)
-                if report is _PENDING:
-                    break           # head still computing: pull results
-                slots.popleft()
-                self._pins[value] -= 1
-                if not self._pins[value]:
-                    del self._pins[value]
-                if kind == _SLOT_UNIQUE:
-                    resolved_unemitted -= 1
-                elif report.filename != filename:
-                    report = dataclasses.replace(
-                        report, filename=filename)
+        for index, report in self.executor.imap(self._sources()):
+            computed = self._dispatched.pop(index, None)
+            if computed is not None:
+                key, seconds = computed
+                report.stage_times["preprocess"] = seconds
                 if self.journal is not None:
-                    self._journal_emission(filename, value, report)
-                self.info.emitted += 1
-                yield report
-            if exhausted and not slots:
-                break
-            try:
-                _index, report = next(results)
-            except StopIteration:
-                exhausted = True
-                continue
-            key = unique_keys.popleft()
-            resolved_unemitted += 1
-            if key in self._reps:
-                self._reps[key] = report
-            self._trim_reps()
-        self.info.supervision = dict(runner.supervision)
+                    self._journal_emission(report.filename, key, report)
+            yield report
+        self.info.supervision = dict(self.executor.supervision)
         if self.journal is not None:
             self.journal.close()
-        program = self.program
-        if pp_texts is not None and not program.preprocessed \
-                and program._pp_memo is None \
-                and not self.info.preprocess_failures \
-                and len(pp_texts) == program.file_count:
-            program._pp_memo = SourceProgram(
-                program.name, dict(pp_texts), {}, {}, program.main_file,
-                preprocessed=True)
 
 
 def stream_batch(program: SourceProgram, **kwargs) -> BatchStream:
     """Streaming batch entry point: yields
     :class:`FileTransformReport` objects in filename order while the
     pool is still working on later files.  Accepts the same keyword
-    arguments as :func:`apply_batch` plus ``window`` (dispatch-ahead
-    bound, default :func:`stream_window`) and ``dedup_cap``
-    (representative-retention bound, default :data:`DEDUP_WINDOW`)."""
+    arguments as :func:`apply_batch`."""
     return BatchStream(program, **kwargs)
 
 
@@ -1332,17 +1143,14 @@ def apply_batch(program: SourceProgram, *, run_slr: bool = True,
                 backends=None,
                 session: AnalysisSession | None = None,
                 journal=None) -> BatchResult:
-    """Preprocess and transform every file of ``program``.
+    """Preprocess and transform every file of ``program``: collect
+    :func:`stream_batch` into a :class:`BatchResult`.
 
     Files are processed in filename order by the executor selected via
     ``jobs`` (1 = serial, N > 1 = fork pool, default from ``REPRO_JOBS``),
     so serial and parallel runs produce byte-identical reports.
-
-    Preprocessing runs in the parent — pre-warming the shared caches
-    (and the persistent store) before any worker forks — and tasks with
-    identical work keys are deduplicated, so no two workers ever
-    transform the same content: the representative's report is cloned
-    under each duplicate's filename.
+    Preprocessing runs in the parent, pre-warming the shared caches (and
+    the persistent store) before any worker needs them.
 
     ``validate=True`` runs the differential oracle on every transformed
     file (``None`` defers to ``session.validate``); verdicts land on
@@ -1366,48 +1174,11 @@ def apply_batch(program: SourceProgram, *, run_slr: bool = True,
     pipeline; downstream per-stage failures are contained inside
     :func:`transform_file` the same way.
     """
-    before = snapshot_stats()
     start = time.perf_counter()
-    # Unbounded window and dedup retention: apply_batch holds every
-    # report anyway, so capping dispatch-ahead would only risk idling
-    # workers behind a slow emission head; streaming consumers that
-    # want the bounds use stream_batch directly.
     stream = BatchStream(program, run_slr=run_slr, run_str=run_str,
                          profile=profile, jobs=jobs, validate=validate,
                          fuzz_seed=fuzz_seed, backends=backends,
-                         session=session,
-                         window=max(1, program.file_count),
-                         dedup_cap=0, memoize_preprocess=True,
-                         journal=journal)
+                         session=session, journal=journal)
     reports = list(stream)
-    wall = time.perf_counter() - start
-    after = snapshot_stats()
-
-    def delta(name: str) -> CacheStats:
-        return after[name].delta(before[name]) if name in before \
-            else CacheStats(name)
-
-    pp_timings = stream.info.pp_timings
-    stage_times = {}
-    for report in reports:
-        times = dict(report.stage_times)
-        if report.filename in pp_timings:
-            times["preprocess"] = times.get("preprocess", 0.0) \
-                + pp_timings[report.filename]
-        stage_times[report.filename] = times
-    result = BatchResult(program, reports, None)
-    stats = BatchStats(
-        jobs=stream.info.jobs, wall_time=wall,
-        file_walls={r.filename: r.wall_time for r in reports},
-        parse=delta("parse"), preprocess=delta("preprocess"),
-        slr=delta("slr"), str_=delta("str"), validate=delta("validate"),
-        backend=delta("backend"),
-        stage_times=stage_times,
-        deduplicated=stream.info.deduplicated,
-        supervision=stream.info.supervision,
-        backends_attempted=result.backends_attempted,
-        backends_rejected=result.backends_rejected,
-        replayed=stream.info.replayed,
-        quarantined=stream.info.quarantined)
-    result.stats = stats
-    return result
+    return BatchResult(program, reports, stream.info,
+                       time.perf_counter() - start)

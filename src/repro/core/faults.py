@@ -160,20 +160,6 @@ def faults_enabled() -> bool:
     return bool(os.environ.get("REPRO_FAULTS"))
 
 
-#: Stages whose faults never alter a file's *report* — they kill or
-#: starve the scheduler around it.  Rules limited to these stages do
-#: not salt the per-task work key, so a run crashed by a
-#: ``journal:parent-kill`` rule resumes (faults disarmed) onto the same
-#: keys it journaled.
-RESULT_NEUTRAL_STAGES = ("dispatch", "journal")
-
-
-def affects_results() -> bool:
-    """Does any active rule target a stage that shapes report content?"""
-    return any(rule.stage not in RESULT_NEUTRAL_STAGES
-               for rule in active_rules())
-
-
 def should_fire(rule: FaultRule, subject: str) -> bool:
     """Deterministic per-subject coin flip at the rule's rate.
 

@@ -89,15 +89,9 @@ def render_batch_stats(result: BatchResult) -> str:
         headers.append("status")
     if validated:
         headers.append("oracle")
-    table = _table(headers, rows)
-    stats = result.stats
-    if stats is not None:
-        table += (f"\n\nbatch: {len(result.reports)} files in "
-                  f"{stats.wall_time:.3f}s with {stats.jobs} job(s)")
-        if stats.deduplicated:
-            table += (f"; {stats.deduplicated} duplicate-content "
-                      f"task(s) shared one result")
-    return table
+    return (f"{_table(headers, rows)}\n\nbatch: {len(result.reports)} "
+            f"files in {result.wall_time:.3f}s with {result.info.jobs} "
+            f"job(s)")
 
 
 def render_validation(result: BatchResult) -> str:
@@ -187,7 +181,7 @@ def render_diagnostics(result: BatchResult) -> str:
     status_line = ("files: " + " ".join(f"{name}={status[name]}"
                                         for name in status))
     lines = [table, "", stage_line, status_line]
-    supervision = result.stats.supervision if result.stats else {}
+    supervision = result.info.supervision
     if any(supervision.values()):
         lines.append("supervision: " + " ".join(
             f"{name}={count}" for name, count
@@ -202,8 +196,7 @@ def diagnostics_payload(result: BatchResult) -> dict:
         "files": len(result.reports),
         "status_counts": result.status_counts(),
         "stage_failure_counts": result.stage_failure_counts(),
-        "supervision": dict(result.stats.supervision)
-        if result.stats else {},
+        "supervision": dict(result.info.supervision),
         "diagnostics": [diag.as_dict()
                         for diag in result.diagnostics()],
         "statuses": {report.filename: report.status
@@ -240,9 +233,8 @@ def render_cache_stats(stats: list[CacheStats] | None = None) -> str:
 def render_profile(result: BatchResult) -> str:
     """The per-stage timing breakdown for one batch run
     (``repro batch --profile`` / ``REPRO_PROFILE=1``)."""
-    if result.stats is None:
-        return "(no stage timings recorded)"
-    return profile.render_profile(result.stats.stage_times)
+    return profile.render_profile({report.filename: report.stage_times
+                                   for report in result.reports})
 
 
 def _fmt_bytes(n: int) -> str:

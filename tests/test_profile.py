@@ -5,6 +5,7 @@ import time
 from repro.core import profile
 from repro.core.batch import FileTask, SourceProgram, apply_batch, \
     transform_file
+from repro.core.report import render_profile
 from repro.core.session import get_session
 
 SRC = """\
@@ -135,18 +136,13 @@ class TestPipelineIntegration:
             <= report.wall_time + 0.005
 
     def test_batch_stage_totals(self):
+        """The parent's preprocess time rides on the report with the
+        worker's stages, and the profile renders every stage."""
         program = SourceProgram("prof", {"profile_b.c": SRC})
         result = apply_batch(program, jobs=1, validate=True)
-        totals = result.stats.stage_totals
+        times = result.reports[0].stage_times
+        rendered = render_profile(result)
         for stage_name in ("preprocess", "slr", "str", "verify",
                            "validate"):
-            assert stage_name in totals, stage_name
-        assert result.stats.stage_times["profile_b.c"]
-
-    def test_batch_stats_as_dict_has_stage_totals(self):
-        program = SourceProgram("prof2", {"profile_c.c": SRC})
-        result = apply_batch(program, jobs=1, validate=False)
-        payload = result.stats.as_dict()
-        assert "stage_totals_s" in payload
-        assert "slr_cache" in payload and "validate_cache" in payload
-        assert payload["deduplicated"] == 0
+            assert stage_name in times, stage_name
+            assert f"\n{stage_name} " in rendered, stage_name

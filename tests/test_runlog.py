@@ -40,6 +40,8 @@ from repro.core.runlog import (
 from .test_fault_injection import alarm_after
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
+SYNTAX_ERROR = (Path(REPO_SRC).parent / "examples" / "c" / "bad"
+                / "syntax_error.c").read_text()
 
 
 def make_files(count: int, tag: str = "") -> dict[str, str]:
@@ -125,7 +127,7 @@ class TestJournalRoundTrip:
         with alarm_after(60):
             replay = apply_batch(program, jobs=jobs, validate=False,
                                  journal=resumed)
-        assert replay.stats.replayed == 3
+        assert replay.info.replayed == 3
         assert report_essence(replay) == report_essence(clean)
         # Replayed files are not re-journaled: the WAL does not grow.
         assert len(resumed.events()) == events_before
@@ -203,7 +205,7 @@ class TestJournalRoundTrip:
         resumed.load()
         replay = apply_batch(edited, jobs=1, validate=False,
                              journal=resumed)
-        assert replay.stats.replayed == 2       # the edit missed its key
+        assert replay.info.replayed == 2       # the edit missed its key
         assert '"one %s\\n"' in next(
             r.final_text for r in replay.reports
             if r.filename == "file01.c")
@@ -227,7 +229,7 @@ if {resume!r}:
 journal.begin(program, {{"validate": False}})
 result = apply_batch(program, jobs={jobs}, validate=False,
                      backends={backends!r}, journal=journal)
-record = {{"replayed": result.stats.replayed,
+record = {{"replayed": result.info.replayed,
            "reports": {{r.filename: [r.status, r.final_text, r.parses,
                                      [[d.stage, d.kind]
                                       for d in r.diagnostics]]
@@ -442,12 +444,12 @@ class TestQuarantine:
 
         first = self._run(program, "q1", root)
         assert all(r.status == STATUS_FAILED for r in first.reports)
-        assert first.stats.quarantined == 0
+        assert first.info.quarantined == 0
         # The second run finds the quarantine entries before dispatch.
         second = self._run(program, "q2", root)
         assert all(r.status == STATUS_QUARANTINED
                    for r in second.reports)
-        assert second.stats.quarantined == 2
+        assert second.info.quarantined == 2
         for report in second.reports:
             assert report.wall_time == 0.0          # no budget spent
             diag = report.diagnostics[0]
@@ -467,7 +469,7 @@ class TestQuarantine:
         third = self._run(edited, "q3", root)
         # Edited content re-enters the pipeline (and fails again under
         # the still-armed fault) instead of being skipped.
-        assert third.stats.quarantined == 0
+        assert third.info.quarantined == 0
         assert all(r.status == STATUS_FAILED for r in third.reports)
 
     def test_quarantine_disabled_by_knob(
@@ -479,7 +481,7 @@ class TestQuarantine:
 
         monkeypatch.setenv("REPRO_QUARANTINE", "0")
         second = self._run(program, "q2", root)
-        assert second.stats.quarantined == 0
+        assert second.info.quarantined == 0
         assert all(r.status == STATUS_FAILED for r in second.reports)
 
     def test_quarantined_files_have_records(
@@ -507,9 +509,8 @@ class TestQuarantine:
     def test_file_condemned_mid_run_keeps_its_own_record(
             self, fresh_store, tmp_path, monkeypatch):
         """A worker death quarantines content mid-run, so a later file
-        with that content is skipped as quarantined.  The two share a
-        work key, yet each keeps its own record: the first still shows
-        and replays as failed."""
+        with that content is skipped as quarantined.  Each keeps its
+        own record: the first still shows and replays as failed."""
         import repro.core.batch as batch_module
         files = make_files(2, tag="-mid")
         files["file99.c"] = files["file00.c"]
@@ -534,7 +535,7 @@ class TestQuarantine:
                 for name in sorted(files)] == statuses
         replay = apply_batch(program, jobs=1, validate=False,
                              journal=journal)
-        assert replay.stats.replayed == 2
+        assert replay.info.replayed == 2
         assert [r.status for r in replay.reports] == statuses
 
     def test_healthy_batch_records_no_quarantine(
@@ -599,12 +600,19 @@ class TestRunRegistry:
         assert all(r["completed"] == 1 for r in runs)
         assert latest_run_id(root) == "20260102-000000-bbbbbb"
 
-    def test_latest_opens_one_run(self, tmp_path, monkeypatch):
-        """``latest`` reads the newest run's journal only, not every
-        run's: its cost does not grow with the run history."""
+    def test_latest_opens_one_run(self, fresh_store, tmp_path,
+                                  monkeypatch):
+        """``latest`` recognises the newest run without replaying any
+        journal, so ``runs show`` and ``batch --resume latest`` each
+        load one run, once, however many runs have piled up."""
         root = str(tmp_path / "runs")
         for day in range(1, 5):
             self._make_run(root, f"2026010{day}-000000-aaaaaa")
+        src = tmp_path / "src"
+        src.mkdir()
+        for name, text in make_files(1, tag="-latest").items():
+            (src / name).write_text(text)
+        monkeypatch.setenv("REPRO_RUN_DIR", root)
         opened = []
         load = RunJournal.load
 
@@ -613,8 +621,15 @@ class TestRunRegistry:
             return load(journal)
 
         monkeypatch.setattr(RunJournal, "load", spy)
-        assert latest_run_id(root) == "20260104-000000-aaaaaa"
-        assert opened == ["20260104-000000-aaaaaa"]
+        newest = "20260104-000000-aaaaaa"
+        assert latest_run_id(root) == newest
+        assert opened == []
+        for argv in (["runs", "show"],
+                     ["batch", src, "--resume", "latest"]):
+            opened.clear()
+            code, _out, err = run_cli(argv)
+            assert code == 0, err
+            assert opened == [newest], argv
 
     def test_gc_keep(self, tmp_path):
         root = str(tmp_path / "runs")
@@ -667,7 +682,7 @@ class TestWorkKey:
         resumed.load()
         replay = apply_batch(program, jobs=1, validate=True,
                              journal=resumed)
-        assert replay.stats.replayed == 0
+        assert replay.info.replayed == 0
         assert self.probes(replay) == self.probes(fresh)
         assert self.probes(replay) != self.probes(original)
 
@@ -814,6 +829,37 @@ class TestBatchCliJournal:
                                 "--resume", "cli-batch"])
         assert code == 0
         assert "(2 replayed, 0 quarantined)" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_duplicate_files_keep_their_own_records(
+            self, fresh_store, tmp_path, jobs):
+        """Two copies of one text are journaled under their own keys:
+        ``runs show`` prints each file's own diagnostic, and a resume
+        replays each file's own report."""
+        twins = tmp_path / "twins"
+        twins.mkdir()
+        for name in ("a.c", "b.c"):
+            (twins / name).write_text(SYNTAX_ERROR)
+        code, _, err = run_cli(["batch", twins, "-j", jobs,
+                                "--run-id", "twins"])
+        assert code == 0, err
+        for name, other in (("a.c", "b.c"), ("b.c", "a.c")):
+            code, out, _ = run_cli(["runs", "show", "twins",
+                                    "--file", name])
+            assert code == 0
+            assert f"{name}: failed" in out
+            assert f"ParseError: {name}:3:13: unexpected token" in out
+            assert other not in out
+
+        payload = tmp_path / "resumed.json"
+        code, _, err = run_cli(["batch", twins, "-j", jobs,
+                                "--resume", "twins",
+                                "--diagnostics-json", payload])
+        assert code == 0, err
+        assert "(2 replayed, 0 quarantined)" in err
+        diagnostics = json.loads(payload.read_text())["diagnostics"]
+        assert [(d["filename"], d["location"]) for d in diagnostics] \
+            == [("a.c", "a.c:3:13"), ("b.c", "b.c:3:13")]
 
     def test_no_run_log_disables_journaling(self, fresh_store, batch_dir,
                                             monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for the persistent artifact store and its cache layering."""
 
+import copy
 import os
 import pickle
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from repro.cfront.cache import ContentCache, _REGISTRY, \
-    clear_all_caches, content_key, snapshot_stats
+    clear_all_caches, content_key
 from repro.core.store import ArtifactStore, SCHEMA_VERSION, \
     disk_enabled, get_store, reset_store
 
@@ -302,22 +303,33 @@ int main(void) {{
 """
 
 
+def counter_deltas(caches, run):
+    """``run()``'s result and what it added to each cache's counters."""
+    before = [copy.copy(cache.stats) for cache in caches]
+    result = run()
+    return result, [cache.stats.delta(earlier)
+                    for cache, earlier in zip(caches, before)]
+
+
 class TestBatchIntegration:
     def test_duplicate_content_deduplicated(self, fresh_store):
-        """Identical-content files share one transform: the batch maps
-        one task and clones its report under each filename."""
-        from repro.core.batch import SourceProgram, apply_batch
+        """Identical-content files share one transform: each file is
+        computed under its own name, and the content-keyed caches serve
+        the duplicate's text."""
+        from repro.core.batch import _SLR_CACHE, _STR_CACHE, \
+            SourceProgram, apply_batch
         src = BROKEN_TMPL.format(tag="dedup-test")
         other = BROKEN_TMPL.format(tag="dedup-test-other")
         program = SourceProgram(
             "dup", {"a.c": src, "b.c": src, "c.c": other})
-        result = apply_batch(program, jobs=1, validate=False)
-        stats = result.stats
-        assert stats.deduplicated == 1
+        result, (slr, str_) = counter_deltas(
+            (_SLR_CACHE, _STR_CACHE),
+            lambda: apply_batch(program, jobs=1, validate=False))
         # Two unique texts -> two SLR builds, no duplicate disk misses.
-        assert stats.slr.misses == 2
-        assert stats.slr.disk_misses == 2
-        assert stats.str_.misses == 2
+        assert slr.misses == 2
+        assert slr.hits == 1
+        assert slr.disk_misses == 2
+        assert str_.misses == 2
         by_name = {r.filename: r for r in result.reports}
         assert sorted(by_name) == ["a.c", "b.c", "c.c"]
         assert by_name["a.c"].final_text == by_name["b.c"].final_text
@@ -335,22 +347,23 @@ class TestBatchIntegration:
     def test_warm_cross_process_replays_from_disk(self, fresh_store):
         """Simulate a new process (empty memory caches, same store):
         the rerun is served by disk hits and is byte-identical."""
-        from repro.core.batch import SourceProgram, apply_batch
+        from repro.cfront.cache import _PP_CACHE
+        from repro.core.batch import _SLR_CACHE, _STR_CACHE, \
+            SourceProgram, apply_batch
         from repro.core.session import reset_session
+        from repro.core.validate import _VALIDATE_CACHE
         src = BROKEN_TMPL.format(tag="crossproc-test")
         program = SourceProgram("xp", {"a.c": src})
         cold = apply_batch(program, jobs=1, validate=True)
 
         clear_all_caches()
         reset_session()
-        warm = apply_batch(SourceProgram("xp", {"a.c": src}),
-                           jobs=1, validate=True)
-        stats = warm.stats
-        disk_hits = stats.preprocess.disk_hits \
-            + stats.slr.disk_hits + stats.str_.disk_hits \
-            + stats.validate.disk_hits
-        assert disk_hits > 0
-        assert stats.slr.disk_hits == 1
+        warm, deltas = counter_deltas(
+            (_PP_CACHE, _SLR_CACHE, _STR_CACHE, _VALIDATE_CACHE),
+            lambda: apply_batch(SourceProgram("xp", {"a.c": src}),
+                                jobs=1, validate=True))
+        assert sum(delta.disk_hits for delta in deltas) > 0
+        assert deltas[1].disk_hits == 1
         assert warm.reports[0].final_text == cold.reports[0].final_text
         assert warm.reports[0].validation.counts() \
             == cold.reports[0].validation.counts()

@@ -2,17 +2,29 @@
 
 The streaming batch must be byte-identical to the collecting batch at
 any worker count, emit in filename order, and keep the parent's working
-set bounded by the stream/dedup windows instead of the batch size.
+set bounded by the stream window instead of the batch size, a resume
+included.
 """
 
 import gc
 import time
+import tracemalloc
 import weakref
+from pathlib import Path
+
+import pytest
 
 from repro.core.batch import (
-    DEDUP_WINDOW, ProcessPoolExecutor, SerialExecutor, SourceProgram,
-    apply_batch, stream_batch, stream_window, transform_file,
+    _SLR_CACHE, FileTask, ProcessPoolExecutor, SerialExecutor,
+    SourceProgram, apply_batch, stream_batch, stream_window,
+    transform_file,
 )
+from repro.core.report import render_diagnostics
+from repro.core.runlog import RunJournal
+from repro.core.session import AnalysisSession
+
+SYNTAX_ERROR = (Path(__file__).resolve().parents[1] / "examples" / "c"
+                / "bad" / "syntax_error.c").read_text()
 
 BROKEN_TMPL = """\
 #include <stdio.h>
@@ -70,13 +82,34 @@ class TestStreamEquivalence:
         assert names == sorted(names)
 
     def test_apply_batch_unchanged_with_duplicates(self, fresh_store):
+        """A duplicate file is computed under its own name; the SLR
+        cache serves its text, so it costs no second build."""
         src = BROKEN_TMPL.format(tag="dup")
         program = SourceProgram("dup", {"a.c": src, "b.c": src})
+        before = _SLR_CACHE.stats.hits, _SLR_CACHE.stats.misses
         result = apply_batch(program, jobs=1, validate=False)
-        assert result.stats.deduplicated == 1
+        assert (_SLR_CACHE.stats.hits - before[0],
+                _SLR_CACHE.stats.misses - before[1]) == (1, 1)
         assert result.reports[0].final_text \
             == result.reports[1].final_text
         assert [r.filename for r in result.reports] == ["a.c", "b.c"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_duplicate_failures_name_their_own_file(self, fresh_store,
+                                                    jobs):
+        """Two copies of a text that does not parse: each report's
+        diagnostics name its own file, and the diagnostics table lists
+        both files."""
+        program = SourceProgram("twins", {"a.c": SYNTAX_ERROR,
+                                          "b.c": SYNTAX_ERROR})
+        result = apply_batch(program, jobs=jobs, validate=False)
+        for report in result.reports:
+            assert report.diagnostics
+            for diag in report.diagnostics:
+                assert diag.filename == report.filename
+                assert diag.message.startswith(f"{report.filename}:")
+        rows = render_diagnostics(result).splitlines()[2:4]
+        assert [row.split()[0] for row in rows] == ["a.c", "b.c"]
 
 
 class TestStreamLaziness:
@@ -84,12 +117,23 @@ class TestStreamLaziness:
                                                        fresh_store):
         """Pulling one report must not force the whole batch through
         preprocessing — the incremental pre-warm only runs as far as
-        the dispatch window."""
+        the dispatch window — and the report carries the parent's
+        preprocess time."""
+        session = AnalysisSession()
+        preprocessed = []
+        preprocess = session.preprocess
+
+        def spy(text, filename, *args):
+            preprocessed.append(filename)
+            return preprocess(text, filename, *args)
+
+        session.preprocess = spy
         stream = stream_batch(distinct_program(40), jobs=1,
-                              validate=False, window=2)
+                              validate=False, session=session)
         first = next(iter(stream))
         assert first.filename == "f0000.c"
-        assert len(stream.info.pp_timings) < 40
+        assert preprocessed == ["f0000.c"]
+        assert first.stage_times["preprocess"] > 0.0
 
     def test_memory_bounded_thousand_file_batch(self, fresh_store):
         """A 1k-file batch must not retain all reports in the parent:
@@ -99,8 +143,8 @@ class TestStreamLaziness:
         program = SourceProgram("big", {
             f"f{i:04d}.c": BROKEN_TMPL.format(tag=f"u{i % unique}")
             for i in range(1000)})
-        stream = stream_batch(program, jobs=1, validate=False,
-                              window=16, dedup_cap=32)
+        builds = _SLR_CACHE.stats.misses
+        stream = stream_batch(program, jobs=1, validate=False)
         alive = []
         peak_alive = 0
         count = 0
@@ -115,37 +159,73 @@ class TestStreamLaziness:
         assert count == 1000
         gc.collect()
         assert peak_alive < 300          # never anywhere near O(batch)
-        assert stream.info.deduplicated == 1000 - unique
-        assert stream.info.max_buffered <= 16   # bounded by the window
+        # The content caches serve the repeats: one build per text.
+        assert _SLR_CACHE.stats.misses - builds == unique
+        assert stream.executor.max_inflight == 1    # one file at a time
 
-    def test_dedup_cap_trims_but_stays_correct(self, fresh_store):
-        """With a tiny dedup window, later duplicates recompute instead
-        of cloning — outputs identical, only the dedup count drops."""
-        src_a = BROKEN_TMPL.format(tag="cap-a")
-        src_b = BROKEN_TMPL.format(tag="cap-b")
-        files = {}
-        for i in range(6):
-            files[f"f{i:02d}.c"] = src_a if i % 2 == 0 else src_b
-        capped = list(stream_batch(SourceProgram("cap", dict(files)),
-                                   jobs=1, validate=False, dedup_cap=1))
-        uncapped = list(stream_batch(SourceProgram("cap", dict(files)),
-                                     jobs=1, validate=False,
-                                     dedup_cap=0))
-        assert [report_shape(r) for r in capped] \
-            == [report_shape(r) for r in uncapped]
+    @staticmethod
+    def _finished_run(root, count):
+        program = distinct_program(count, name=f"resume{count}")
+        journal = RunJournal(f"run-{count}", root=root)
+        journal.begin(program, {})
+        apply_batch(program, jobs=1, validate=False, journal=journal)
+        resumed = RunJournal(f"run-{count}", root=root)
+        resumed.load()
+        return program, resumed
+
+    def test_resume_is_bounded_by_the_window(self, fresh_store,
+                                             tmp_path):
+        """Resuming a finished run replays every file through the
+        executor's window: the parent's peak memory does not grow with
+        the batch, and the pool holds at most a window of reports."""
+        root = str(tmp_path / "runs")
+        runs = {count: self._finished_run(root, count)
+                for count in (100, 400)}
+
+        def resume(count):
+            program, journal = runs[count]
+            return sum(1 for _report in stream_batch(
+                program, jobs=1, validate=False, journal=journal))
+
+        def peak(count):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert resume(count) == count
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # A replay journals nothing, so a run can resume again and
+        # again: one pass of each warms the interpreter's free lists,
+        # and the least of three peaks drops the collector's timing.
+        for count in runs:
+            assert resume(count) == count
+        peaks = {count: min(peak(count) for _ in range(3))
+                 for count in runs}
+        assert peaks[400] <= 1.2 * peaks[100], peaks
+
+        program, journal = self._finished_run(root, 40)
+        stream = stream_batch(program, jobs=2, validate=False,
+                              journal=journal)
+        assert len(list(stream)) == 40
+        assert stream.info.replayed == 40
+        assert 0 < stream.executor.max_inflight <= stream_window(2)
 
 
 class TestStreamSupervisionAndKnobs:
-    def test_window_defaults(self):
+    def test_window_defaults(self, fresh_store):
         assert stream_window(1) == 16
         assert stream_window(4) == 16
         assert stream_window(8) == 32
-        assert DEDUP_WINDOW == 4096
-        stream = stream_batch(distinct_program(2), jobs=8)
-        assert (stream.window, stream.dedup_cap) == (32, DEDUP_WINDOW)
+        # The pool's dispatch-ahead bound defaults to the stream window.
+        pool = ProcessPoolExecutor(2)
+        tasks = [FileTask(f"w{i}.c", "int w%d;\n" % i, validate=False)
+                 for i in range(24)]
+        assert len(list(pool.imap(iter(tasks)))) == 24
+        assert pool.max_inflight == stream_window(2)
 
     def test_executor_imap_streams_in_order(self, fresh_store):
-        from repro.core.batch import FileTask
         tasks = [FileTask(f"t{i}.c",
                           BROKEN_TMPL.format(tag=f"imap-{i}"),
                           validate=False)
@@ -171,8 +251,6 @@ class TestStreamSupervisionAndKnobs:
         """Workers forked for a second pool must not hold the first
         pool's lifeline open: its idle workers leave when it closes,
         instead of waiting out the 2 s join timeout and a kill."""
-        from repro.core.batch import FileTask
-
         def tasks(tag):
             return iter([FileTask(f"{tag}{i}.c",
                                   BROKEN_TMPL.format(tag=f"{tag}-{i}"),
@@ -188,7 +266,6 @@ class TestStreamSupervisionAndKnobs:
         assert len(list(second)) == 2
 
     def test_serial_imap_matches_map(self, fresh_store):
-        from repro.core.batch import FileTask
         tasks = [FileTask(f"t{i}.c",
                           BROKEN_TMPL.format(tag=f"ser-{i}"),
                           validate=False)
