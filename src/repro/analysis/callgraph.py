@@ -56,9 +56,6 @@ class CallGraph:
     def callers(self, name: str) -> set[str]:
         return {site.caller for site in self.calls_to.get(name, ())}
 
-    def is_defined(self, name: str) -> bool:
-        return name in self.defined
-
     def transitive_callees(self, name: str) -> set[str]:
         seen: set[str] = set()
         frontier = [name]

@@ -156,7 +156,3 @@ class DependenceAnalysis:
 
     def is_control_dependent(self, node: CFGNode, branch: CFGNode) -> bool:
         return branch.nid in self._control_deps.get(node.nid, set())
-
-
-def analyze_dependence(cfg: CFG) -> DependenceAnalysis:
-    return DependenceAnalysis(cfg)

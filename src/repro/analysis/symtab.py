@@ -72,9 +72,6 @@ class SymbolTable:
         # Function name -> local/param symbols declared inside it.
         self.locals_of: dict[str, list[Symbol]] = {}
 
-    def lookup_global(self, name: str) -> Symbol | None:
-        return self.globals.get(name)
-
 
 class _ScopeStack:
     def __init__(self):

@@ -57,9 +57,6 @@ _SALT: bytes | None = None
 
 def _key_salt() -> bytes:
     """The tool-fingerprint salt mixed into every content key."""
-    override = os.environ.get("REPRO_FINGERPRINT")
-    if override:
-        return override.encode("utf-8")
     global _SALT
     if _SALT is None:
         from ..fingerprint import tool_fingerprint

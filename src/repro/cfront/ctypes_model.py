@@ -60,10 +60,6 @@ class CType:
         return isinstance(self, FunctionType)
 
     @property
-    def is_struct(self) -> bool:
-        return isinstance(self, StructType)
-
-    @property
     def is_char(self) -> bool:
         return isinstance(self, IntType) and self.kind == "char"
 

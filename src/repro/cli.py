@@ -13,7 +13,7 @@ Subcommands mirror how the paper's tool is used:
   overflow, and seeded fuzz inputs, with per-divergence verdicts;
 * ``backends``       — list the registered fix backends
   (``batch --backends a,b,c`` arbitrates them per file, shipping each
-  file's oracle-best candidate; ``REPRO_BACKENDS`` sets the default);
+  file's oracle-best candidate);
 * ``run FILE``       — execute a C file in the bounds-checked VM;
 * ``analyze FILE``   — print analysis facts (points-to, aliases, buffer
   lengths at unsafe call sites);
@@ -27,9 +27,16 @@ Subcommands mirror how the paper's tool is used:
 * ``synth``          — generate a synthetic ground-truth corpus of
   planted overflow/safe files, VM-validated and deterministic by seed.
 
+``fix``, ``run``, ``analyze`` and a single-file ``batch`` or
+``validate`` give the file the ``.h`` files beside it as its private
+headers, as a batch over its directory does; a source that still does
+not lex, preprocess or parse prints one ``error:`` line and exits 1.
+
 ``batch`` and ``validate`` accept ``--no-disk-cache`` (this run skips
-the persistent store) and ``--profile`` (render the per-stage timing
-breakdown; ``REPRO_PROFILE=1`` does the same).
+the persistent store) and ``batch`` accepts ``--profile`` (render the
+per-stage timing breakdown).  A flag that sets an environment knob
+holds for that one command: :func:`main` restores the environment when
+the command ends.
 
 ``batch`` is fault-isolated: a file that fails any stage is recorded
 with a structured diagnostic and its siblings continue.  ``--strict``
@@ -45,7 +52,7 @@ import argparse
 import os
 import sys
 
-from . import apply_slr, apply_str, preprocess, run_c
+from . import apply_slr, apply_str, get_session, run_c
 
 
 def _read(path: str) -> str:
@@ -53,9 +60,30 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _read_dir(directory: str, suffix: str) -> dict[str, str]:
+    """Every ``suffix`` file directly inside ``directory``, by name."""
+    found = {}
+    for entry in sorted(os.listdir(directory)):
+        full = os.path.join(directory, entry)
+        if entry.endswith(suffix) and os.path.isfile(full):
+            found[entry] = _read(full)
+    return found
+
+
+def _headers_beside(path: str) -> dict[str, str]:
+    """The ``.h`` files in ``path``'s directory: the private headers a
+    batch over that directory gives the file."""
+    return _read_dir(os.path.dirname(path) or ".", ".h")
+
+
+def _preprocess_file(path: str) -> str:
+    """Preprocess one C file, the ``.h`` files beside it included."""
+    return get_session().preprocess(_read(path), path,
+                                    _headers_beside(path)).text
+
+
 def cmd_fix(args: argparse.Namespace) -> int:
-    source = _read(args.file)
-    text = preprocess(source, args.file)
+    text = _preprocess_file(args.file)
     outcomes = []
     if not args.no_slr:
         result = apply_slr(text, args.file, profile=args.profile)
@@ -86,8 +114,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    source = _read(args.file)
-    text = preprocess(source, args.file)
+    text = _preprocess_file(args.file)
     stdin = args.stdin.encode() if args.stdin else b""
     result = run_c(text, stdin=stdin)
     sys.stdout.write(result.stdout_text)
@@ -100,13 +127,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .cfront import astnodes as ast
     from .core.bufferlen import BufferLengthAnalyzer, LengthFailure
-    from .core.session import get_session
     from .core.slr import UNSAFE_FUNCTIONS
 
-    source = _read(args.file)
-    session = get_session()
-    text = session.preprocess(source, args.file).text
-    parsed = session.parse(text, args.file)
+    text = _preprocess_file(args.file)
+    parsed = get_session().parse(text, args.file)
     unit, pa = parsed.unit, parsed.analysis
     lengths = BufferLengthAnalyzer(pa, text)
 
@@ -136,29 +160,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _load_program(path: str):
-    """Build a SourceProgram from a directory of .c/.h files or a single
-    .c file; returns (program, error-message)."""
-    import os
-
+    """Build a SourceProgram from a directory of .c/.h files, or from a
+    single file and the .h files beside it; returns (program,
+    error-message)."""
     from .core.batch import SourceProgram
 
-    if os.path.isfile(path):
-        name = os.path.basename(path)
-        return SourceProgram(name, {name: _read(path)}, {}), None
     try:
-        entries = sorted(os.listdir(path))
+        if os.path.isfile(path):
+            name = os.path.basename(path)
+            return SourceProgram(name, {name: _read(path)},
+                                 _headers_beside(path)), None
+        files = _read_dir(path, ".c")
+        headers = _read_dir(path, ".h")
     except OSError as exc:
         return None, f"cannot read {path}: {exc.strerror}"
-    files: dict[str, str] = {}
-    headers: dict[str, str] = {}
-    for entry in entries:
-        full = os.path.join(path, entry)
-        if not os.path.isfile(full):
-            continue
-        if entry.endswith(".c"):
-            files[entry] = _read(full)
-        elif entry.endswith(".h"):
-            headers[entry] = _read(full)
     if not files:
         return None, f"no .c files in {path}"
     program = SourceProgram(
@@ -167,62 +182,36 @@ def _load_program(path: str):
     return program, None
 
 
-def _apply_disk_cache_flag(args: argparse.Namespace) -> None:
-    """``--no-disk-cache`` disables the persistent store for this run
-    (and any fork-pool workers, which inherit the environment)."""
-    import os
-
+def _apply_env_flags(args: argparse.Namespace) -> None:
+    """``--no-disk-cache``, ``--task-timeout`` and ``--task-retries`` set
+    their environment knobs, so fork-pool workers (which inherit the
+    environment) and the executor agree; :func:`main` restores the
+    environment when the command ends."""
     if getattr(args, "no_disk_cache", False):
         os.environ["REPRO_DISK_CACHE"] = "0"
-
-
-def _apply_supervision_flags(args: argparse.Namespace) -> None:
-    """``--task-timeout`` / ``--task-retries`` set the supervision env
-    knobs so fork-pool workers (which inherit the environment) and the
-    executor defaults agree."""
-    import os
-
     if getattr(args, "task_timeout", None) is not None:
         os.environ["REPRO_TASK_TIMEOUT"] = str(args.task_timeout)
     if getattr(args, "task_retries", None) is not None:
         os.environ["REPRO_TASK_RETRIES"] = str(args.task_retries)
 
 
-def _resolve_backends(args: argparse.Namespace):
-    """The backend ids to arbitrate: ``--backends``, else
-    ``REPRO_BACKENDS``; ``None`` runs the legacy SLR→STR chain.  The
-    environment knob is read here and nowhere below, so library callers
-    of ``apply_batch`` get exactly the work they ask for."""
-    from .core.backends import backends_from_env, resolve_backends
-
-    if args.backends is None:
-        return backends_from_env()
-    return resolve_backends(args.backends) if args.backends else None
-
-
 def _make_journal(args: argparse.Namespace, program, backends):
     """Build (or reopen, under ``--resume``) the run journal for a batch
     invocation; returns ``(journal, error message)``.  ``--no-run-log``
-    (or ``REPRO_RUN_LOG=0``) runs unjournaled."""
-    import os
+    runs unjournaled."""
+    from .core.runlog import RunJournal, RunNotFound, resolve_run_id
 
-    from .core.runlog import (
-        RunJournal, RunNotFound, resolve_run_id, run_log_enabled,
-    )
-
-    if getattr(args, "no_run_log", False):
-        os.environ["REPRO_RUN_LOG"] = "0"
-    if not run_log_enabled():
-        if getattr(args, "resume", None):
+    if args.no_run_log:
+        if args.resume:
             return None, ("--resume requires run journaling "
-                          "(drop --no-run-log / REPRO_RUN_LOG=0)")
+                          "(drop --no-run-log)")
         return None, None
     try:
-        if getattr(args, "resume", None):
+        if args.resume:
             journal = RunJournal(resolve_run_id(args.resume))
             journal.load()
         else:
-            journal = RunJournal(getattr(args, "run_id", None))
+            journal = RunJournal(args.run_id)
     except RunNotFound as exc:
         return None, str(exc)
     journal.begin(program, {
@@ -235,25 +224,23 @@ def _make_journal(args: argparse.Namespace, program, backends):
 
 def cmd_batch(args: argparse.Namespace) -> int:
     import json
-    import os
 
-    from .cfront.source import SourceError
+    from .core.backends import resolve_backends
     from .core.batch import apply_batch
-    from .core.profile import profiling_enabled
     from .core.report import (
         diagnostics_payload, render_backend_scoreboard,
         render_batch_stats, render_cache_stats, render_diagnostics,
         render_profile, render_validation,
     )
 
-    _apply_disk_cache_flag(args)
-    _apply_supervision_flags(args)
+    _apply_env_flags(args)
     program, error = _load_program(args.directory)
     if program is None:
         print(error, file=sys.stderr)
         return 2
     try:
-        backends = _resolve_backends(args)
+        backends = resolve_backends(args.backends) if args.backends \
+            else None
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -267,7 +254,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
                             profile=args.slr_profile,
                             jobs=args.jobs, validate=args.validate,
                             backends=backends, journal=journal)
-    except (SourceError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
@@ -321,11 +308,14 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if args.validate:
         print()
         print(render_validation(batch))
-    if args.profile or profiling_enabled():
+    if args.profile:
         print()
         print(render_profile(batch))
     if args.stats:
         print()
+        if batch.info.workers:
+            print(f"parent process counters only; the "
+                  f"{batch.info.workers} pool worker(s) kept their own")
         print(render_cache_stats())
     if args.diagnostics_json:
         with open(args.diagnostics_json, "w", encoding="utf-8") as handle:
@@ -378,11 +368,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from .cfront.source import SourceError
     from .core.batch import apply_batch
+    from .core.diagnostics import STATUS_FAILED
     from .core.report import render_validation
 
-    _apply_disk_cache_flag(args)
+    _apply_env_flags(args)
     program, error = _load_program(args.path)
     if program is None:
         print(error, file=sys.stderr)
@@ -393,12 +383,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
                             profile=args.slr_profile,
                             jobs=args.jobs, validate=True,
                             fuzz_seed=args.seed,
-                            backends=_resolve_backends(args))
-    except (SourceError, ValueError, KeyError) as exc:
+                            backends=args.backends)
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    unjudged = 0
     for report in batch.reports:
+        if report.status == STATUS_FAILED and report.validation is None:
+            # Never reached the oracle: a verdict table without this
+            # file would read as a pass.
+            unjudged += 1
+            diag = report.diagnostics[0]
+            print(f"[FAILED] {report.filename}: {diag.stage} {diag.kind}: "
+                  f"{diag.message.splitlines()[0] if diag.message else ''}",
+                  file=sys.stderr)
         if not report.parses:
             print(f"[BROKEN] {report.filename}: transformed text does "
                   f"not parse", file=sys.stderr)
@@ -414,44 +413,28 @@ def cmd_validate(args: argparse.Namespace) -> int:
         from .core.report import render_backend_scoreboard
         print()
         print(render_backend_scoreboard(batch))
-    return 0 if batch.all_parse and batch.semantics_preserved else 1
+    ok = batch.all_parse and batch.semantics_preserved and not unjudged
+    return 0 if ok else 1
 
 
 def cmd_backends(args: argparse.Namespace) -> int:
-    """List the registered fix backends and the defaults in effect."""
-    from .core.backends import (
-        DEFAULT_BACKENDS, all_backends, backends_from_env,
-    )
+    """List the registered fix backends."""
+    from .core.backends import DEFAULT_BACKENDS, all_backends
 
-    try:
-        active = backends_from_env()
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     for backend in all_backends():
-        marks = []
-        if backend.id in DEFAULT_BACKENDS:
-            marks.append("legacy-chain")
-        if active is not None and backend.id in active:
-            marks.append("REPRO_BACKENDS")
-        suffix = f"  [{', '.join(marks)}]" if marks else ""
+        suffix = "  [legacy-chain]" if backend.id in DEFAULT_BACKENDS \
+            else ""
         print(f"{backend.id:<10} {backend.title}{suffix}")
         if args.verbose:
             print(f"{'':10} {backend.description}")
             if backend.config_key():
                 print(f"{'':10} config: {backend.config_key()}")
-    if active is not None:
-        print(f"\nREPRO_BACKENDS={','.join(active)} — batch runs "
-              f"arbitrate these by default")
-    else:
-        print("\nno REPRO_BACKENDS set — batch runs the legacy "
-              "SLR→STR chain unless --backends is given")
+    print("\nbatch runs the legacy SLR→STR chain unless --backends is "
+          "given")
     return 0
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
-    import os
-
     from .core.watch import WatchLoop
 
     if not os.path.exists(args.path):
@@ -690,11 +673,11 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--backends", default=None, metavar="A,B,C",
                        help="arbitrate these fix backends per file and "
                             "ship each file's oracle-best candidate "
-                            "('all' = every registered backend; also "
-                            "REPRO_BACKENDS; see 'repro backends')")
+                            "('all' = every registered backend; see "
+                            "'repro backends')")
     batch.add_argument("--profile", action="store_true",
                        help="render the per-file, per-stage timing "
-                            "breakdown (also REPRO_PROFILE=1)")
+                            "breakdown")
     batch.add_argument("--no-disk-cache", action="store_true",
                        help="skip the persistent artifact store for "
                             "this run (also REPRO_DISK_CACHE=0)")
@@ -724,9 +707,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="name this run's journal directory "
                             "(default: a generated timestamped id)")
     batch.add_argument("--no-run-log", action="store_true",
-                       help="skip the write-ahead run journal (also "
-                            "REPRO_RUN_LOG=0); such a run cannot be "
-                            "resumed or shown by 'repro runs show'")
+                       help="skip the write-ahead run journal; such a "
+                            "run cannot be resumed or shown by 'repro "
+                            "runs show'")
     batch.set_defaults(func=cmd_batch)
 
     validate = sub.add_parser(
@@ -749,8 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "this run (also REPRO_DISK_CACHE=0)")
     validate.add_argument("--backends", default=None, metavar="A,B,C",
                           help="arbitrate these fix backends per file "
-                               "('all' = every registered backend; "
-                               "also REPRO_BACKENDS)")
+                               "('all' = every registered backend)")
     validate.set_defaults(func=cmd_validate)
 
     backends_cmd = sub.add_parser(
@@ -841,14 +823,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .cfront.source import SourceError
+
     args = build_parser().parse_args(argv)
+    environ = os.environ.copy()
     try:
         return args.func(args)
+    except SourceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # Long listings piped into ``head`` close stdout early; point
         # it at devnull so interpreter shutdown's flush stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    finally:
+        # Knobs a flag set hold for this command only; the pool workers
+        # forked inside it have already inherited them.
+        if os.environ != environ:
+            os.environ.clear()
+            os.environ.update(environ)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ contract to the backend search.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from ..cfront.cache import ContentCache, content_key
@@ -211,12 +210,6 @@ def resolve_backends(spec) -> tuple[str, ...]:
         if name not in seen:
             seen.append(name)
     return tuple(seen)
-
-
-def backends_from_env() -> tuple[str, ...] | None:
-    """The ``REPRO_BACKENDS`` default (None when unset/empty)."""
-    raw = os.environ.get("REPRO_BACKENDS", "").strip()
-    return resolve_backends(raw) if raw else None
 
 
 for _backend in (SLRBackend(), STRBackend(), S3LibBackend()):

@@ -372,6 +372,7 @@ class SerialExecutor:
     through in its place."""
 
     jobs = 1
+    spawned = 0
 
     def __init__(self):
         self.supervision = _empty_supervision()
@@ -480,13 +481,13 @@ class ProcessPoolExecutor:
     pipe closes (see :func:`_pool_worker`).
     """
 
-    def __init__(self, jobs: int, *, timeout: float | None = None,
-                 retries: int | None = None):
+    def __init__(self, jobs: int):
         self.jobs = max(1, jobs)
-        self.timeout = timeout if timeout is not None else task_timeout()
-        self.retries = retries if retries is not None else task_retries()
+        self.timeout = task_timeout()
+        self.retries = task_retries()
         self.supervision = _empty_supervision()
         self.max_inflight = 0
+        self.spawned = 0                    # worker processes started
         self._deaths_to_respawn = 0
 
     def imap(self, tasks, *, window: int | None = None):
@@ -645,6 +646,7 @@ class ProcessPoolExecutor:
                     worker.process.join(timeout=2.0)
 
     def _spawn(self, ctx, result_queue, lifeline):
+        self.spawned += 1
         if self._deaths_to_respawn > 0:
             self._deaths_to_respawn -= 1
             self.supervision["respawns"] += 1
@@ -788,6 +790,9 @@ class StreamInfo:
     #: retried, watchdog timeouts, workers that died, workers respawned.
     supervision: dict[str, int] = field(
         default_factory=_empty_supervision)
+    #: Pool worker processes started; 0 when every file ran in this
+    #: process.
+    workers: int = field(default=0, init=False)
 
 
 @dataclass
@@ -864,10 +869,6 @@ class BatchResult:
     @property
     def failed_count(self) -> int:
         return sum(1 for r in self.reports if r.status == STATUS_FAILED)
-
-    @property
-    def degraded_count(self) -> int:
-        return sum(1 for r in self.reports if r.status == "degraded")
 
     @property
     def fully_succeeded(self) -> bool:
@@ -998,7 +999,7 @@ class BatchStream:
     def __init__(self, program: SourceProgram, *, run_slr: bool = True,
                  run_str: bool = True, profile: str = "glib",
                  jobs: int | None = None,
-                 validate: bool | None = None,
+                 validate: bool = False,
                  fuzz_seed: int | None = None,
                  backends=None,
                  session: AnalysisSession | None = None,
@@ -1013,8 +1014,7 @@ class BatchStream:
         self.run_slr = run_slr
         self.run_str = run_str
         self.profile = profile
-        self.validate = self.session.validate if validate is None \
-            else validate
+        self.validate = validate
         self.fuzz_seed = fuzz_seed
         self.backend_ids = resolve_backends(backends) if backends else None
         executor = make_executor(jobs)
@@ -1123,6 +1123,7 @@ class BatchStream:
                     self._journal_emission(report.filename, key, report)
             yield report
         self.info.supervision = dict(self.executor.supervision)
+        self.info.workers = self.executor.spawned
         if self.journal is not None:
             self.journal.close()
 
@@ -1138,7 +1139,7 @@ def stream_batch(program: SourceProgram, **kwargs) -> BatchStream:
 def apply_batch(program: SourceProgram, *, run_slr: bool = True,
                 run_str: bool = True, profile: str = "glib",
                 jobs: int | None = None,
-                validate: bool | None = None,
+                validate: bool = False,
                 fuzz_seed: int | None = None,
                 backends=None,
                 session: AnalysisSession | None = None,
@@ -1153,16 +1154,13 @@ def apply_batch(program: SourceProgram, *, run_slr: bool = True,
     the persistent store) before any worker needs them.
 
     ``validate=True`` runs the differential oracle on every transformed
-    file (``None`` defers to ``session.validate``); verdicts land on
-    each report's ``validation`` and roll up via
+    file; verdicts land on each report's ``validation`` and roll up via
     :meth:`BatchResult.validation_counts`.
 
     ``backends`` switches the per-file work from the legacy SLR→STR
     chain to oracle-arbitrated best-fix selection over the named fix
     backends (a comma-separated string, an iterable of ids, or
-    ``"all"``); ``None`` runs the legacy chain.  The ``REPRO_BACKENDS``
-    environment knob is read by the CLI, not here, so a library caller
-    always gets exactly the work it asked for.  Under arbitration the
+    ``"all"``); ``None`` runs the legacy chain.  Under arbitration the
     oracle always judges every candidate (``validate`` only controls
     whether the verdict table is *rendered*), the winner's validation
     lands on each report, and per-backend tallies roll up via

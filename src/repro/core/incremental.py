@@ -34,13 +34,11 @@ only the latency differs.  The machinery:
 Any situation the incremental path does not model — preamble edits,
 reorders, mid-file declarations, edits outside function spans,
 position-dependent macros — falls back to the full pipeline, which is
-also how the engine warms up.  ``REPRO_INCREMENTAL=off`` disables the
-incremental path entirely.
+also how the engine warms up.
 """
 
 from __future__ import annotations
 
-import os
 import re
 import time
 from dataclasses import dataclass, field, replace
@@ -62,8 +60,7 @@ from .strtransform import finalize_blocks as str_finalize_blocks
 from .transform import sort_outcomes
 from .validate import IncrementalValidator, default_inputs
 
-__all__ = ["FunctionRecord", "IncrementalEngine", "UpdateReport",
-           "incremental_enabled"]
+__all__ = ["FunctionRecord", "IncrementalEngine", "UpdateReport"]
 
 
 #: Function-granular artifacts: per-fragment preprocessor renders and
@@ -96,12 +93,6 @@ def _seg_identifiers(seg: SegmentedFile) -> frozenset:
     for tile in seg.segments:
         out |= _ids_in(tile.text)
     return frozenset(out)
-
-
-def incremental_enabled() -> bool:
-    """``REPRO_INCREMENTAL`` gate (default on)."""
-    return os.environ.get("REPRO_INCREMENTAL", "on").strip().lower() \
-        not in ("0", "off", "no", "false")
 
 
 class _Fallback(Exception):
@@ -472,8 +463,6 @@ class IncrementalEngine:
         reused0 = self.validator.reused_probes
         executed0 = self.validator.executed_probes
         try:
-            if not incremental_enabled():
-                raise _Fallback("disabled (REPRO_INCREMENTAL)")
             if self._unsupported:
                 raise _Fallback(self._unsupported)
             if self._raw_text is None:
@@ -525,7 +514,7 @@ class IncrementalEngine:
             validation = self.validator.validate(pp, final, None,
                                                  inputs=self._inputs())
         self._reset_state()
-        if incremental_enabled() and not self._unsupported:
+        if not self._unsupported:
             try:
                 self._rebuild(text, pp, slr_t, slr_result, str_t, str_result,
                               parses)

@@ -17,13 +17,12 @@ Instrumentation is collector-scoped and exclusive:
 
 Fork-pool workers time their own stages and ship the per-file dict back
 on the :class:`~repro.core.batch.FileTransformReport`, so the rendered
-table is identical at any worker count.  ``repro batch --profile`` (or
-``REPRO_PROFILE=1``) renders the breakdown.
+table is identical at any worker count.  ``repro batch --profile``
+renders the breakdown.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 
@@ -34,11 +33,6 @@ from contextlib import contextmanager
 STAGES = ("preprocess", "parse", "analyze", "analyze:cfg",
           "analyze:reaching", "analyze:pointsto", "analyze:alias",
           "analyze:dependence", "slr", "str", "verify", "validate")
-
-
-def profiling_enabled() -> bool:
-    """Should batch commands render the stage breakdown by default?"""
-    return os.environ.get("REPRO_PROFILE", "0") not in ("0", "")
 
 
 class _Collector:

@@ -232,7 +232,7 @@ def render_cache_stats(stats: list[CacheStats] | None = None) -> str:
 
 def render_profile(result: BatchResult) -> str:
     """The per-stage timing breakdown for one batch run
-    (``repro batch --profile`` / ``REPRO_PROFILE=1``)."""
+    (``repro batch --profile``)."""
     return profile.render_profile({report.filename: report.stage_times
                                    for report in result.reports})
 

@@ -46,7 +46,6 @@ version-dir salted by the tool fingerprint): a file that exhausts
 hash and skipped — shipped verbatim with status ``quarantined`` —
 by every later journaled run, without re-burning the timeout/retry
 budget, until its content or the tool fingerprint changes.
-``REPRO_QUARANTINE=0`` disables both recording and skipping.
 
 All journal I/O is best-effort: a full disk or unwritable run directory
 degrades to a warn-once unjournaled run, never a failed batch
@@ -70,9 +69,8 @@ from .store import publish_atomic, remove_trees
 
 __all__ = [
     "RunJournal", "RunNotFound", "gc_runs", "latest_run_id", "list_runs",
-    "new_run_id", "quarantine_enabled", "quarantine_key",
-    "quarantine_lookup", "quarantine_record", "run_log_enabled",
-    "runs_root",
+    "new_run_id", "quarantine_key", "quarantine_lookup",
+    "quarantine_record", "runs_root",
 ]
 
 #: Bumped when the journal/manifest schema changes incompatibly.
@@ -99,18 +97,6 @@ def runs_root() -> str:
         return env
     from .store import default_cache_dir
     return os.path.join(default_cache_dir(), "runs")
-
-
-def run_log_enabled() -> bool:
-    """Is run journaling on?  (``REPRO_RUN_LOG=0`` disables; the CLI's
-    ``--no-run-log`` sets it.)"""
-    return os.environ.get("REPRO_RUN_LOG", "1") != "0"
-
-
-def quarantine_enabled() -> bool:
-    """Is poison-file quarantine on?  (``REPRO_QUARANTINE=0`` disables
-    both recording new entries and skipping known ones.)"""
-    return os.environ.get("REPRO_QUARANTINE", "1") != "0"
 
 
 def new_run_id() -> str:
@@ -512,8 +498,6 @@ def quarantine_key(text: str) -> str:
 
 def quarantine_lookup(text: str) -> dict | None:
     """The poison record for this content, or ``None``."""
-    if not quarantine_enabled():
-        return None
     from .store import disk_enabled, get_store
     if not disk_enabled():
         return None
@@ -527,8 +511,6 @@ def quarantine_record(text: str, filename: str, diagnostic,
     """Record a poison file: called when a journaled run watched the
     file exhaust its whole ``REPRO_TASK_RETRIES`` budget.  Cumulative
     attempts across runs are kept for the audit trail."""
-    if not quarantine_enabled():
-        return None
     from .store import disk_enabled, get_store
     if not disk_enabled():
         return None

@@ -59,21 +59,12 @@ _VERIFY_CACHE = ContentCache("verify", family="verify")
 class AnalysisSession:
     """Owns the parse/analysis cache and the preprocess entry point.
 
-    ``include_paths`` and ``predefined`` become the session's defaults
-    for :meth:`preprocess`; the parse cache is keyed on text content
-    alone (a unit is a pure function of its preprocessed text — the
-    filename only labels diagnostics, so the first-seen name wins).
+    The parse cache is keyed on text content alone (a unit is a pure
+    function of its preprocessed text — the filename only labels
+    diagnostics, so the first-seen name wins).
     """
 
-    def __init__(self, include_paths: dict[str, str] | None = None,
-                 predefined: dict[str, str] | None = None,
-                 *, cache_name: str = "parse", validate: bool = False):
-        self.include_paths = dict(include_paths or {})
-        self.predefined = dict(predefined or {})
-        #: Session-wide default for the differential oracle: batch
-        #: drivers that are not told ``validate=`` explicitly fall back
-        #: to this flag (see :func:`repro.core.batch.apply_batch`).
-        self.validate = validate
+    def __init__(self, *, cache_name: str = "parse"):
         self._parse_cache = ContentCache(cache_name)
 
     # ------------------------------------------------------------ pipeline
@@ -82,12 +73,9 @@ class AnalysisSession:
                    include_paths: dict[str, str] | None = None,
                    predefined: dict[str, str] | None = None,
                    ) -> PreprocessedSource:
-        """Preprocess ``text`` through the content-keyed frontend cache."""
-        return preprocess_cached(
-            text, filename,
-            include_paths if include_paths is not None
-            else self.include_paths,
-            predefined if predefined is not None else self.predefined)
+        """Preprocess ``text`` through the content-keyed frontend cache;
+        ``include_paths`` maps private header names to their text."""
+        return preprocess_cached(text, filename, include_paths, predefined)
 
     def parse(self, text: str, filename: str = "<unit>") -> ParsedUnit:
         """Parse + bind + typecheck ``text``, cached by content.

@@ -375,8 +375,8 @@ def get_store() -> ArtifactStore:
 
 
 def reset_store() -> ArtifactStore:
-    """Rebuild the default store from the current environment (tests
-    monkeypatch ``REPRO_CACHE_DIR``/``REPRO_FINGERPRINT`` then reset)."""
+    """Rebuild the default store from the current environment and tool
+    fingerprint (tests monkeypatch ``REPRO_CACHE_DIR`` then reset)."""
     global _STORE
     _STORE = ArtifactStore()
     return _STORE

@@ -1,8 +1,8 @@
 """``repro watch`` — long-lived re-analysis loop over editing sessions.
 
 Polls one file or every ``.c`` file under a directory for mtime
-changes, debounces rapid saves (``REPRO_WATCH_DEBOUNCE`` seconds of
-quiet before a change is processed), and pushes each settled edit
+changes, debounces rapid saves (``debounce_s`` seconds of quiet
+before a change is processed), and pushes each settled edit
 through one warm :class:`repro.core.incremental.IncrementalEngine` per
 file — so an edit-to-verdict round trip touches only the functions the
 edit changed.  Diagnostics stream one line per update (mode, wall time,
@@ -22,25 +22,9 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .envknobs import float_knob
 from .incremental import IncrementalEngine, UpdateReport
 
-__all__ = ["WatchLoop", "watch_debounce", "watch_interval"]
-
-DEFAULT_DEBOUNCE_S = 0.2
-DEFAULT_INTERVAL_S = 0.1
-
-
-def watch_debounce() -> float:
-    """Quiet period (seconds) a changed file must hold before it is
-    re-analyzed (``REPRO_WATCH_DEBOUNCE``, default 0.2); rapid
-    consecutive saves coalesce into one update."""
-    return float_knob("REPRO_WATCH_DEBOUNCE", DEFAULT_DEBOUNCE_S)
-
-
-def watch_interval() -> float:
-    """Polling period in seconds (``REPRO_WATCH_INTERVAL``, default 0.1)."""
-    return float_knob("REPRO_WATCH_INTERVAL", DEFAULT_INTERVAL_S)
+__all__ = ["WatchLoop"]
 
 
 @dataclass
@@ -61,18 +45,14 @@ class WatchLoop:
     validate: bool = True
     fuzz_seed: int | None = None
     json_output: bool = False
-    debounce_s: float | None = None     # None = REPRO_WATCH_DEBOUNCE
-    interval_s: float | None = None     # None = REPRO_WATCH_INTERVAL
+    #: Quiet seconds a changed file must hold before it is re-analyzed,
+    #: so rapid consecutive saves coalesce into one update.
+    debounce_s: float = 0.2
+    interval_s: float = 0.1             # polling period, seconds
     clock: object = time.monotonic
     sleep: object = time.sleep
     out: object = None                  # None = sys.stdout
     files: dict = field(default_factory=dict, init=False)   # path -> state
-
-    def __post_init__(self):
-        if self.debounce_s is None:
-            self.debounce_s = watch_debounce()
-        if self.interval_s is None:
-            self.interval_s = watch_interval()
 
     # ------------------------------------------------------- discovery
 

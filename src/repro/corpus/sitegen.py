@@ -20,31 +20,6 @@ compare before/after behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-@dataclass
-class SitePlan:
-    """How many sites of each kind a corpus program plants."""
-
-    # SLR sites: function name -> (transformable, failing) counts.
-    slr: dict[str, tuple[int, int]] = field(default_factory=dict)
-    # STR buffers: (transformable, failing-interprocedural) counts.
-    str_ok: int = 0
-    str_fail: int = 0
-
-    @property
-    def slr_sites(self) -> int:
-        return sum(ok + bad for ok, bad in self.slr.values())
-
-    @property
-    def slr_transformable(self) -> int:
-        return sum(ok for ok, _ in self.slr.values())
-
-    @property
-    def str_sites(self) -> int:
-        return self.str_ok + self.str_fail
-
 
 class SiteEmitter:
     """Emits site functions and the calls that exercise them."""

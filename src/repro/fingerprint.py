@@ -8,9 +8,6 @@ file in the :mod:`repro` package, so any code change — in any layer —
 changes the fingerprint and with it every cache key and the on-disk
 store's version directory.  Stale entries are never consulted again and
 ``repro cache gc`` reclaims them.
-
-``REPRO_FINGERPRINT`` overrides the computed value (tests use it to
-simulate an older checkout publishing into the same cache directory).
 """
 
 from __future__ import annotations
@@ -44,9 +41,6 @@ def _compute() -> str:
 
 def tool_fingerprint() -> str:
     """The version salt for this checkout (stable within a process)."""
-    override = os.environ.get("REPRO_FINGERPRINT")
-    if override:
-        return override
     global _COMPUTED
     if _COMPUTED is None:
         _COMPUTED = _compute()

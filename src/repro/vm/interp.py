@@ -192,10 +192,6 @@ class Interpreter:
     def virtual_fs(self) -> dict[str, bytearray]:
         return self._vfs
 
-    def add_file(self, name: str, data: bytes) -> None:
-        """Install a file into the VM's virtual filesystem."""
-        self._vfs[name] = bytearray(data)
-
     def _setup_stdio(self) -> None:
         for name, std in (("stdin", "in"), ("stdout", "out"),
                           ("stderr", "err")):

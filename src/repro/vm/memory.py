@@ -310,7 +310,3 @@ class Memory:
     def live_heap_blocks(self) -> int:
         return sum(1 for b in self._blocks.values()
                    if b.kind == "heap" and not b.freed)
-
-    @property
-    def block_count(self) -> int:
-        return len(self._blocks)

@@ -18,7 +18,7 @@ import pytest
 from repro.core.backends import (
     ARBITRATION_VERSION, CANDIDATE_ERROR, CANDIDATE_REJECTED,
     CANDIDATE_SELECTED, DEFAULT_BACKENDS, FixBackend, arbitrate_file,
-    backend_ids, backends_from_env, cached_backend_run, get_backend,
+    backend_ids, cached_backend_run, get_backend,
     register_backend, resolve_backends, scoreboard, unregister_backend,
 )
 from repro.core.batch import SourceProgram, apply_batch
@@ -60,9 +60,8 @@ int main(void) {
 
 
 @pytest.fixture(autouse=True)
-def _no_backend_env(monkeypatch):
-    """Backend selection comes from each test, never the outer env."""
-    monkeypatch.delenv("REPRO_BACKENDS", raising=False)
+def _no_fault_env(monkeypatch):
+    """Faults come from each test, never the outer env."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
 
 
@@ -119,11 +118,6 @@ class TestRegistry:
     def test_resolve_empty_raises(self):
         with pytest.raises(ValueError):
             resolve_backends("")
-
-    def test_backends_from_env(self, monkeypatch):
-        assert backends_from_env() is None
-        monkeypatch.setenv("REPRO_BACKENDS", "str, s3lib")
-        assert backends_from_env() == ("str", "s3lib")
 
 
 class TestS3LibBackend:
@@ -353,8 +347,9 @@ class TestBatchArbitration:
         assert report.validation.overflows_prevented > 0
 
     def test_env_knob_does_not_reach_library_callers(self, monkeypatch):
-        """``REPRO_BACKENDS`` is a CLI default: with it set, the corpus's
-        SLR-only batch still yields Table V's 259/317."""
+        """``REPRO_BACKENDS`` is retired: a value left in the environment
+        changes nothing, and the corpus's SLR-only batch still yields
+        Table V's 259/317."""
         from repro.corpus import build_all
         monkeypatch.setenv("REPRO_BACKENDS", "slr,str")
         done = total = 0
@@ -461,46 +456,23 @@ class TestBackendsCLI:
         for backend_id in ("slr", "str", "s3lib"):
             assert backend_id in out
 
-    def test_backends_subcommand_rejects_bad_env(self, monkeypatch,
-                                                 capsys):
-        from repro.cli import main
-        monkeypatch.setenv("REPRO_BACKENDS", "bogus")
-        code = main(["backends"])
-        captured = capsys.readouterr()
-        assert code != 0
-        assert captured.err.splitlines() == [
-            f"error: unknown fix backend 'bogus'; registered: "
-            f"{', '.join(sorted(backend_ids()))}"]
-        assert "Traceback" not in captured.out
-
-    def test_batch_backends_flag(self, tmp_path, capsys):
-        from repro.cli import main
-        (tmp_path / "a.c").write_text(OVERFLOW_SRC, encoding="utf-8")
-        code = main(["batch", str(tmp_path), "--backends",
-                     "slr,s3lib", "--validate"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "winner" in captured.out
-        assert "arbitration:" in captured.out + captured.err
-
-    def test_env_default_enables_arbitration(self, tmp_path, capsys,
-                                             monkeypatch):
+    def test_batch_backends_flag(self, tmp_path, capsys, monkeypatch):
         import json
 
         from repro.cli import main
-        monkeypatch.setenv("REPRO_BACKENDS", "s3lib")
         monkeypatch.setenv("REPRO_RUN_DIR", str(tmp_path / "runs"))
         (tmp_path / "src").mkdir()
         (tmp_path / "src" / "a.c").write_text(OVERFLOW_SRC,
                                               encoding="utf-8")
-        code = main(["batch", str(tmp_path / "src"), "--run-id", "env"])
+        code = main(["batch", str(tmp_path / "src"), "--backends",
+                     "slr,s3lib", "--validate", "--run-id", "flag"])
         captured = capsys.readouterr()
         assert code == 0
-        assert "s3lib:1/1" in captured.out          # the winner column
+        assert "winner" in captured.out
         assert "arbitration: 1/1 file(s) fixed" in captured.err
-        manifest = tmp_path / "runs" / "env" / "manifest.json"
+        manifest = tmp_path / "runs" / "flag" / "manifest.json"
         settings = json.loads(manifest.read_text())["settings"]
-        assert settings["backends"] == "s3lib"
+        assert settings["backends"] == "slr,s3lib"
 
     def test_batch_unknown_backend_errors(self, tmp_path, capsys):
         from repro.cli import main

@@ -103,6 +103,60 @@ class TestAnalyzeCommand:
         assert "UNSIZABLE" in out
 
 
+@pytest.fixture
+def header_dir(tmp_path):
+    """A program whose .c file includes a private header beside it."""
+    target = tmp_path / "hdr"
+    target.mkdir()
+    (target / "f.h").write_text("#define NAME_LEN 8\n"
+                                "void greet(const char *who);\n")
+    (target / "f.c").write_text(
+        '#include <stdio.h>\n#include <string.h>\n#include "f.h"\n'
+        "void greet(const char *who) {\n"
+        "    char buf[NAME_LEN];\n"
+        "    strcpy(buf, who);\n"
+        '    printf("%s\\n", buf);\n'
+        "}\n"
+        'int main(void) { greet("hi"); return 0; }\n')
+    return target
+
+
+class TestPrivateHeaders:
+    """A single .c file gets the .h files beside it as its private
+    headers, as a batch over its directory does."""
+
+    def test_single_file_batch_matches_directory_batch(
+            self, fresh_store, header_dir, tmp_path):
+        code, _, err = run_cli(["batch", header_dir / "f.c",
+                                "-o", tmp_path / "one"])
+        assert code == 0, err
+        code, _, err = run_cli(["batch", header_dir,
+                                "-o", tmp_path / "all"])
+        assert code == 0, err
+        assert os.listdir(tmp_path / "one") == ["f.c"]
+        assert os.listdir(tmp_path / "all") == ["f.c"]
+        fixed = (tmp_path / "one" / "f.c").read_text()
+        assert fixed == (tmp_path / "all" / "f.c").read_text()
+        assert "g_strlcpy" in fixed
+
+    @pytest.mark.parametrize("command", ["fix", "run", "analyze"])
+    def test_single_file_commands_read_headers(self, header_dir,
+                                               command):
+        code, _, err = run_cli([command, header_dir / "f.c"])
+        assert code == 0, err
+
+    @pytest.mark.parametrize("command", ["fix", "run", "analyze"])
+    def test_source_error_is_one_error_line(self, tmp_path, command):
+        path = tmp_path / "missing.c"
+        path.write_text('#include "nowhere.h"\n'
+                        "int main(void) { return 0; }\n")
+        code, out, err = run_cli([command, path])
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: {path}:0:0: header not found: 'nowhere.h'"]
+        assert out == ""
+
+
 class TestParser:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
@@ -201,9 +255,7 @@ class TestCacheCommand:
         assert code == 0
         assert "removed 0 file(s)" not in out
 
-    def test_no_disk_cache_flag(self, fresh_store, batch_dir,
-                                monkeypatch):
-        monkeypatch.setenv("REPRO_DISK_CACHE", "1")
+    def test_no_disk_cache_flag(self, fresh_store, batch_dir):
         from repro.cfront.cache import clear_all_caches
         clear_all_caches()
         code, _, _ = run_cli(["batch", batch_dir, "--no-disk-cache"])
@@ -218,19 +270,68 @@ class TestBatchProfileFlag:
         assert "mean ms/file" in out
         assert "slr" in out and "verify" in out
 
-    def test_no_profile_no_stage_table(self, fresh_store, batch_dir,
-                                       monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+    def test_no_profile_no_stage_table(self, fresh_store, batch_dir):
         code, out, _ = run_cli(["batch", batch_dir])
         assert code == 0
         assert "mean ms/file" not in out
 
-    def test_repro_profile_env(self, fresh_store, batch_dir,
-                               monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        code, out, _ = run_cli(["batch", batch_dir])
+
+@pytest.fixture
+def pool_dir(tmp_path, broken_c):
+    """Two files, so ``-j 2`` forks pool workers."""
+    target = tmp_path / "pool"
+    target.mkdir()
+    for name in ("a.c", "b.c"):
+        (target / name).write_text(broken_c.read_text())
+    return target
+
+
+class TestBatchStatsFlag:
+    def test_caption_only_when_pool_workers_ran(self, fresh_store,
+                                                 pool_dir):
+        code, out, _ = run_cli(["batch", pool_dir, "-j", "2", "--stats"])
         assert code == 0
-        assert "mean ms/file" in out
+        assert "parent process counters only; the 2 pool worker(s) " \
+            "kept their own" in out
+        code, out, _ = run_cli(["batch", pool_dir, "-j", "1", "--stats"])
+        assert code == 0
+        assert "pool worker" not in out
+        assert "disk hits" in out                   # the table itself
+
+
+class TestFlagEnvironment:
+    """A flag that sets an environment knob holds for one command."""
+
+    KNOBS = ("REPRO_DISK_CACHE", "REPRO_TASK_TIMEOUT",
+             "REPRO_TASK_RETRIES")
+
+    def test_batch_leaves_the_environment_as_it_found_it(
+            self, fresh_store, pool_dir, monkeypatch):
+        from repro.core.store import disk_enabled
+        for name in self.KNOBS:
+            monkeypatch.delenv(name, raising=False)
+        before = dict(os.environ)
+        code, _, err = run_cli(["batch", pool_dir, "-j", "2",
+                                "--no-disk-cache", "--task-timeout", "60",
+                                "--task-retries", "2"])
+        assert code == 0, err
+        # The pool workers forked inside the command saw the flag.
+        assert fresh_store.usage() == {}
+        assert dict(os.environ) == before
+        assert disk_enabled()
+
+    def test_restored_when_the_command_raises(self, fresh_store,
+                                              batch_dir, monkeypatch):
+        import repro.core.batch
+
+        def interrupted(*args, **kwargs):
+            raise RuntimeError("stopped")
+
+        monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
+        monkeypatch.setattr(repro.core.batch, "apply_batch", interrupted)
+        with pytest.raises(RuntimeError):
+            main(["batch", str(batch_dir), "--no-disk-cache"])
+        assert "REPRO_DISK_CACHE" not in os.environ
 
 
 class TestEvalCli:

@@ -15,8 +15,7 @@ import pytest
 
 from repro.core.batch import FileTask, SourceProgram, apply_batch, \
     transform_file
-from repro.core.incremental import IncrementalEngine, _FUNC_CACHE, \
-    incremental_enabled
+from repro.core.incremental import IncrementalEngine, _FUNC_CACHE
 from repro.core.session import get_session
 
 
@@ -93,11 +92,10 @@ def warm_engine(text=BASE, filename="inc.c"):
     return engine, first
 
 
-def test_enabled_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
-    assert incremental_enabled()
-    monkeypatch.setenv("REPRO_INCREMENTAL", "off")
-    assert not incremental_enabled()
+def test_enabled_by_default():
+    """No setting is needed: a warm engine takes the incremental path."""
+    engine, _ = warm_engine()
+    assert engine.update(edit_note(BASE)).mode == "incremental"
 
 
 def test_warm_full_matches_cold_pipeline():
@@ -276,16 +274,6 @@ def test_invalidate_wiring_on_retained_analysis():
     update = engine.update(edit_title(BASE))
     assert update.mode == "incremental"
     assert calls == ["copy_title"]
-
-
-def test_disabled_by_env(monkeypatch):
-    engine, _ = warm_engine()
-    monkeypatch.setenv("REPRO_INCREMENTAL", "off")
-    edited = edit_note(BASE)
-    update = engine.update(edited)
-    assert update.mode == "full"
-    assert update.reason.startswith("disabled")
-    assert_matches_cold(update, cold_report(edited))
 
 
 def test_position_macro_is_permanently_unsupported():

@@ -57,14 +57,6 @@ class TestCollector:
     def test_record_without_collector_is_noop(self):
         profile.record("preprocess", 1.0)
 
-    def test_profiling_enabled_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        assert not profile.profiling_enabled()
-        monkeypatch.setenv("REPRO_PROFILE", "0")
-        assert not profile.profiling_enabled()
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert profile.profiling_enabled()
-
 
 class TestAnalyzeSubStages:
     def test_lazy_analyses_record_substages(self):

@@ -5,7 +5,7 @@ pointers, audit records), ``--resume`` replay semantics (including
 parent-kill crashes at the journal's worst-ordered write point, proven
 byte-identical against an uninterrupted run at jobs 1 and 4, warm and
 cold store), poison-file quarantine (skip without spending the retry
-budget, re-entry on content change, ``REPRO_QUARANTINE=0``), disk-full
+budget, re-entry on content change), disk-full
 degradation, run GC, the ``repro runs`` CLI, and the supervised pool's
 exponential retry backoff.
 """
@@ -472,18 +472,6 @@ class TestQuarantine:
         assert third.info.quarantined == 0
         assert all(r.status == STATUS_FAILED for r in third.reports)
 
-    def test_quarantine_disabled_by_knob(
-            self, fresh_store, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "slr:kill:1.0")
-        root = str(tmp_path / "runs")
-        program = make_program(1, tag="-knob")
-        self._run(program, "q1", root)
-
-        monkeypatch.setenv("REPRO_QUARANTINE", "0")
-        second = self._run(program, "q2", root)
-        assert second.info.quarantined == 0
-        assert all(r.status == STATUS_FAILED for r in second.reports)
-
     def test_quarantined_files_have_records(
             self, fresh_store, tmp_path, monkeypatch):
         """Every terminal event has a record behind it, quarantined ones
@@ -861,19 +849,14 @@ class TestBatchCliJournal:
         assert [(d["filename"], d["location"]) for d in diagnostics] \
             == [("a.c", "a.c:3:13"), ("b.c", "b.c:3:13")]
 
-    def test_no_run_log_disables_journaling(self, fresh_store, batch_dir,
-                                            monkeypatch):
-        # --no-run-log sets REPRO_RUN_LOG in-process; monkeypatch (set
-        # before the call) restores the outer environment afterwards.
-        monkeypatch.setenv("REPRO_RUN_LOG", "1")
+    def test_no_run_log_disables_journaling(self, fresh_store, batch_dir):
         code, _, err = run_cli(["batch", batch_dir,
                                 "--no-run-log"])
         assert code == 0
         assert "journaled to" not in err
 
     def test_resume_without_journaling_is_an_error(
-            self, fresh_store, batch_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_RUN_LOG", "1")
+            self, fresh_store, batch_dir):
         code, _, err = run_cli(["batch", batch_dir, "--no-run-log",
                                 "--resume", "latest"])
         assert code == 2

@@ -43,10 +43,8 @@ int main(void) {
 
 
 @pytest.fixture(autouse=True)
-def _no_backend_env(monkeypatch):
-    """Backend selection comes from each test, never the outer
-    environment."""
-    monkeypatch.delenv("REPRO_BACKENDS", raising=False)
+def _no_fault_env(monkeypatch):
+    """Faults come from each test, never the outer environment."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
 
 

@@ -440,20 +440,32 @@ class TestBatchIntegration:
 
 
 class TestFingerprintSalt:
+    """An older checkout is simulated by patching the computed tool
+    fingerprint (and the content-key salt derived from it)."""
+
+    @staticmethod
+    def _checkout(monkeypatch, fingerprint: str) -> None:
+        import repro.cfront.cache
+        import repro.fingerprint
+        monkeypatch.setattr(repro.fingerprint, "_COMPUTED", fingerprint)
+        monkeypatch.setattr(repro.cfront.cache, "_SALT",
+                            fingerprint.encode("utf-8"))
+
     def test_fingerprint_salts_content_key(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FINGERPRINT", "aaaa")
+        self._checkout(monkeypatch, "aaaa")
         key_a = content_key("slr", "same text")
-        monkeypatch.setenv("REPRO_FINGERPRINT", "bbbb")
+        self._checkout(monkeypatch, "bbbb")
         key_b = content_key("slr", "same text")
         assert key_a != key_b
 
     def test_fingerprint_selects_version_dir(self, tmp_path,
                                              monkeypatch):
-        monkeypatch.setenv("REPRO_FINGERPRINT", "aaaa")
+        self._checkout(monkeypatch, "aaaa")
         dir_a = ArtifactStore(str(tmp_path)).version_dir
-        monkeypatch.setenv("REPRO_FINGERPRINT", "bbbb")
+        self._checkout(monkeypatch, "bbbb")
         dir_b = ArtifactStore(str(tmp_path)).version_dir
         assert dir_a != dir_b
+        assert dir_b.endswith("-bbbb")
 
     def test_reset_store_rereads_environment(self, tmp_path,
                                              monkeypatch):

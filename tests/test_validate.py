@@ -1,10 +1,11 @@
 """Tests for the differential transformation oracle
 (:mod:`repro.core.validate`)."""
 
+import os
+
 import pytest
 
 from repro.core.batch import SourceProgram, apply_batch
-from repro.core.session import AnalysisSession
 from repro.core.slr import SafeLibraryReplacement
 from repro.core.validate import (
     VERDICT_BENIGN, VERDICT_CHANGED, VERDICT_IDENTICAL, VERDICT_PREVENTED,
@@ -14,6 +15,9 @@ from repro.core.validate import (
 from repro.vm.interp import ExecutionResult
 
 from .helpers import pp
+
+BAD_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
+                          "c", "bad")
 
 
 def _result(stdout=b"", exit_code=0, fault=None):
@@ -191,15 +195,6 @@ class TestBatchValidation:
         assert by_name["clean.c"].unchanged
         assert not by_name["broken.c"].unchanged
 
-    def test_session_validate_flag_is_the_default(self):
-        session = AnalysisSession(validate=True)
-        batch = apply_batch(SourceProgram("p", dict(BATCH_FILES)),
-                            session=session)
-        assert len(batch.validations()) == len(BATCH_FILES)
-        batch = apply_batch(SourceProgram("p", dict(BATCH_FILES)),
-                            session=session, validate=False)
-        assert batch.validations() == []
-
 
 class TestValidateCli:
     @pytest.fixture
@@ -247,6 +242,23 @@ class TestValidateCli:
     def test_missing_path(self, run_cli, tmp_path):
         code, _, err = run_cli(["validate", tmp_path / "nope"])
         assert code == 2
+
+    def test_file_that_never_reached_the_oracle_fails(self, run_cli):
+        code, _, err = run_cli(["validate", os.path.join(
+            BAD_CORPUS, "missing_header.c")])
+        assert code == 1
+        assert "[FAILED] missing_header.c: preprocess PreprocessorError: " \
+            "missing_header.c:0:0: header not found: " \
+            "'no_such_header_anywhere.h'" in err.splitlines()
+
+    def test_directory_names_every_unjudged_file(self, run_cli):
+        code, out, err = run_cli(["validate", BAD_CORPUS])
+        assert code == 1
+        failed = [line for line in err.splitlines()
+                  if line.startswith("[FAILED]")]
+        assert [line.split(":")[0] for line in failed] == [
+            "[FAILED] garbage.c", "[FAILED] missing_header.c"]
+        assert "good_sibling.c" in out              # the judged files
 
 
 class TestValidationEval:

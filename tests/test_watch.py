@@ -3,12 +3,10 @@
 import io
 import json
 import os
-import warnings
 
 import pytest
 
-from repro.core.watch import (DEFAULT_DEBOUNCE_S, WatchLoop, watch_debounce,
-                              watch_interval)
+from repro.core.watch import WatchLoop
 
 
 SRC = """#include <stdio.h>
@@ -134,27 +132,6 @@ def test_run_bounded_scans(tmp_path):
     loop.sleep = sleeps.append
     assert loop.run(max_scans=3) == 0
     assert sleeps == [loop.interval_s] * 3
-
-
-def test_bad_debounce_knob_warns_once_and_falls_back(monkeypatch):
-    monkeypatch.setenv("REPRO_WATCH_DEBOUNCE", "soon")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert watch_debounce() == DEFAULT_DEBOUNCE_S
-    assert len(caught) == 1
-    assert "REPRO_WATCH_DEBOUNCE" in str(caught[0].message)
-    monkeypatch.setenv("REPRO_WATCH_DEBOUNCE", "-1")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert watch_debounce() == DEFAULT_DEBOUNCE_S
-    assert len(caught) == 1
-
-
-def test_good_knobs_parse(monkeypatch):
-    monkeypatch.setenv("REPRO_WATCH_DEBOUNCE", "1.5")
-    assert watch_debounce() == 1.5
-    monkeypatch.setenv("REPRO_WATCH_INTERVAL", "0.05")
-    assert watch_interval() == 0.05
 
 
 # ----------------------------------------------------------------- CLI
