@@ -5,10 +5,12 @@ are never shared between fork-pool workers or successive CLI runs, yet
 everything the pipeline computes — preprocess outputs, SLR/STR and
 backend transform outputs, verify verdicts, differential-oracle verdicts
 and VM execution results — is a pure function of (input content, tool
-version).  This module persists those artifacts on disk so that every
-process that ever sees the same content gets them for one ``open`` +
-``unpickle``.  Parsed ASTs are not among them: they stay in memory, and
-a later run reads the verify verdict instead of an AST.
+version).  This module persists on disk the artifacts that a later run
+reads, so that every process that ever sees the same content gets them
+for one ``open`` + ``unpickle``.  Parsed ASTs and the oracle's probe
+runs are not among them: they stay in memory, and a later run reads the
+verify verdict instead of an AST and the oracle verdict instead of its
+runs.
 
 * **layout** — ``REPRO_CACHE_DIR`` (default ``~/.cache/repro``) holds one
   version directory per (schema, tool fingerprint), named
@@ -65,6 +67,9 @@ SCHEMA_VERSION = 1
 
 #: Artifact families the pipeline persists.  ``verify`` holds one
 #: marker per text known to parse (failures are never stored).
+#: ``execute`` holds Table III's before/after VM runs only; the
+#: differential oracle keeps its probe runs in memory and persists the
+#: pair's verdict under ``validate``.
 #: ``func`` holds function-granular incremental artifacts — per-component
 #: preprocessed renders and transform outcomes keyed on (stage, function
 #: token hash, headers/preamble fingerprint) — so an unchanged function

@@ -27,6 +27,10 @@ made systematic): *benign* inputs that fit every reasonable buffer,
 smash every buffer in the suite), and *fuzz* inputs drawn from a
 deterministically seeded PRNG — same seed, same bytes, in every process,
 so serial and fork-pool validation verdicts are byte-identical.
+
+The probes differ only in stdin, so a text whose run never reads stdin
+runs once per pair and that run answers every probe.  Probe runs are
+cached in memory only; the pair's verdict is what the store keeps.
 """
 
 from __future__ import annotations
@@ -270,10 +274,14 @@ class ValidationReport:
 
 # ------------------------------------------------------ persistent layer
 
-#: VM execution results, keyed on (text, stdin, limits).  The VM is
-#: deterministic, so a run is a pure function of its key; warm processes
-#: replay table-III executions and oracle probes from disk.
+#: Table III's before/after runs (``eval/samate_runner.py``), keyed on
+#: (text, stdin, limits).  The VM is deterministic, so a run is a pure
+#: function of its key; a warm ``table3`` replays every one from disk.
 _EXEC_CACHE = ContentCache("execute", family="execute")
+
+#: The oracle's probe runs, same keys, memory only: a later run reads
+#: the pair's ``validate`` verdict, never its runs.
+_PROBE_CACHE = ContentCache("probe")
 
 #: Whole per-pair oracle verdicts — the big win: a warm ``--validate``
 #: run re-executes nothing.
@@ -286,11 +294,44 @@ def cached_run_source(text: str, *, stdin: bytes = b"",
                       entry: str = "main") -> ExecutionResult:
     """:func:`repro.vm.interp.run_source` through the content-keyed
     execution cache (memory → disk → interpret)."""
+    return _cached_run(_EXEC_CACHE, text, stdin, step_limit, mem_limit,
+                       entry)
+
+
+def _cached_run(cache: ContentCache, text: str, stdin: bytes,
+                step_limit: int, mem_limit: int | None,
+                entry: str) -> ExecutionResult:
     key = content_key("execute", text, stdin.hex(), str(step_limit),
                       str(mem_limit), entry)
-    return _EXEC_CACHE.get_or_build(
+    return cache.get_or_build(
         key, lambda: run_source(text, stdin=stdin, step_limit=step_limit,
                                 mem_limit=mem_limit, entry=entry))
+
+
+def _probe_runner(text: str, step_limit: int, mem_limit: int | None,
+                  entry: str):
+    """``run(stdin) -> (result, ran)`` for one side of a pair, over
+    successive probes.
+
+    A run that never looked at stdin (``ExecutionResult.read_stdin``) is
+    the side's result for every later probe, and ``ran`` is False from
+    then on.  This is sound because the VM is deterministic (``time()``
+    is a constant, ``rand()`` is seeded, every run gets its own virtual
+    file system and environment) and the probes differ only in stdin.
+    """
+    blind = None
+
+    def run(stdin: bytes) -> tuple[ExecutionResult, bool]:
+        nonlocal blind
+        if blind is not None:
+            return blind, False
+        result = _cached_run(_PROBE_CACHE, text, stdin, step_limit,
+                             mem_limit, entry)
+        if not result.read_stdin:
+            blind = result
+        return result, True
+
+    return run
 
 
 def _inputs_key_parts(inputs: list[DifferentialInput]) -> list[str]:
@@ -351,21 +392,14 @@ def _probe_verdict(probe: DifferentialInput, before: ExecutionResult,
 
 def _run_probes(original: str, transformed: str, filename: str,
                 inputs: list[DifferentialInput], step_limit: int,
-                mem_limit: int | None, entry: str,
-                runs: dict | None = None) -> ValidationReport:
-    """Execute every probe on both texts and classify; optionally
-    record the ``(before, after)`` result pair per probe in ``runs``."""
-    verdicts = []
-    for probe in inputs:
-        before = cached_run_source(original, stdin=probe.stdin,
-                                   step_limit=step_limit,
-                                   mem_limit=mem_limit, entry=entry)
-        after = cached_run_source(transformed, stdin=probe.stdin,
-                                  step_limit=step_limit,
-                                  mem_limit=mem_limit, entry=entry)
-        if runs is not None:
-            runs[probe.name] = (before, after)
-        verdicts.append(_probe_verdict(probe, before, after))
+                mem_limit: int | None, entry: str) -> ValidationReport:
+    """Run every probe on both texts (see :func:`_probe_runner`) and
+    classify."""
+    before_of = _probe_runner(original, step_limit, mem_limit, entry)
+    after_of = _probe_runner(transformed, step_limit, mem_limit, entry)
+    verdicts = [_probe_verdict(probe, before_of(probe.stdin)[0],
+                               after_of(probe.stdin)[0])
+                for probe in inputs]
     return ValidationReport(filename, verdicts)
 
 
@@ -378,7 +412,9 @@ class IncrementalValidator:
     is re-classified from the stored results instead of re-executed: all
     code either run could reach is byte-identical, so by induction over
     VM steps the new runs would reproduce the old observables exactly —
-    reuse changes latency, never verdicts.
+    reuse changes latency, never verdicts.  Probes that are re-run share
+    :func:`validate_pair`'s stdin rule (:func:`_probe_runner`); a probe
+    answered on both sides without a run counts as reused.
 
     ``dirty`` must name every function whose definition differs between
     the previous and current text pair (on either side), including
@@ -418,6 +454,10 @@ class IncrementalValidator:
         new_runs: dict[str, tuple[ExecutionResult, ExecutionResult]] = {}
         verdicts = []
         reusable = dirty is not None and self._basis is not None
+        before_of = _probe_runner(original, step_limit, mem_limit,
+                                  self.entry)
+        after_of = _probe_runner(transformed, step_limit, mem_limit,
+                                 self.entry)
         with profile.stage("validate"):
             for probe in inputs:
                 prev = self._runs.get(probe.name) if reusable else None
@@ -425,17 +465,15 @@ class IncrementalValidator:
                         not ((prev[0].entered | prev[1].entered)
                              & dirty):
                     before, after = prev
-                    self.reused_probes += 1
+                    ran = False
                 else:
-                    before = cached_run_source(
-                        original, stdin=probe.stdin,
-                        step_limit=step_limit, mem_limit=mem_limit,
-                        entry=self.entry)
-                    after = cached_run_source(
-                        transformed, stdin=probe.stdin,
-                        step_limit=step_limit, mem_limit=mem_limit,
-                        entry=self.entry)
+                    before, ran_before = before_of(probe.stdin)
+                    after, ran_after = after_of(probe.stdin)
+                    ran = ran_before or ran_after
+                if ran:
                     self.executed_probes += 1
+                else:
+                    self.reused_probes += 1
                 new_runs[probe.name] = (before, after)
                 verdicts.append(_probe_verdict(probe, before, after))
         self._runs = new_runs

@@ -11,9 +11,10 @@ Everything flows through the shared
 parsed once and that unit is shared by SLR, STR's input (when SLR queued
 no edits), and the "before" execution; the transformed text's unit is
 shared by the verify and the "after" execution.  Transform results and
-VM executions additionally go through the persistent artifact store
-(:mod:`repro.core.store`), so re-running the suite — in another worker
-or another process — replays them from disk.  :func:`run_samate_suite`
+the before/after VM runs additionally go through the persistent artifact
+store (:mod:`repro.core.store`; the runs are the ``execute`` family's
+only entries), so re-running the suite — in another worker or another
+process — replays them from disk.  :func:`run_samate_suite`
 fans whole programs out over a fork pool (``jobs=N``) with
 deterministic, input-ordered results.
 """

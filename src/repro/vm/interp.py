@@ -67,12 +67,58 @@ MEMORY_TRAP_KINDS = frozenset({
 })
 
 
+class InputTape:
+    """A byte stream that a program reads front to back: the run's stdin,
+    or an open virtual-FS file from a handle's position.
+
+    ``touched`` records whether the program looked at the stream at all;
+    a read that only learns it is at EOF counts.  A run whose stdin tape
+    stays untouched behaves the same on every stdin, because nothing
+    else the VM does depends on it.
+    """
+
+    __slots__ = ("data", "pos", "touched")
+
+    def __init__(self, data: bytes, pos: int = 0):
+        self.data = data
+        self.pos = pos
+        self.touched = False
+
+    def at_eof(self) -> bool:
+        self.touched = True
+        return self.pos >= len(self.data)
+
+    def read(self, size: int) -> bytes:
+        """Up to ``size`` bytes (fewer at EOF)."""
+        self.touched = True
+        chunk = bytes(self.data[self.pos:self.pos + size])
+        self.pos += len(chunk)
+        return chunk
+
+    def getc(self) -> int:
+        """The next byte, or -1 at EOF."""
+        chunk = self.read(1)
+        return chunk[0] if chunk else -1
+
+    def line(self, limit: int | None = None) -> bytes | None:
+        """Bytes up to and including the next newline, at most ``limit``
+        of them; None at EOF."""
+        if self.at_eof():
+            return None
+        end = self.data.find(b"\n", self.pos)
+        end = len(self.data) if end == -1 else end + 1
+        if limit is not None:
+            end = min(end, self.pos + limit)
+        return self.read(end - self.pos)
+
+
 class ExecutionResult:
     """Outcome of one program run."""
 
     def __init__(self, stdout: bytes, exit_code: int | None,
                  fault: str | None, fault_detail: str, steps: int,
-                 entered: frozenset = frozenset()):
+                 entered: frozenset = frozenset(),
+                 read_stdin: bool = True):
         self.stdout = stdout
         self.exit_code = exit_code
         self.fault = fault
@@ -82,6 +128,9 @@ class ExecutionResult:
         #: incremental validator's reuse predicate (see
         #: ``Interpreter.entered``).
         self.entered = entered
+        #: Did the run look at stdin at all (``InputTape.touched``)?  If
+        #: not, the same program gives this result on every stdin.
+        self.read_stdin = read_stdin
 
     @property
     def ok(self) -> bool:
@@ -153,8 +202,7 @@ class Interpreter:
         self.units = units
         self.memory = Memory(limit_bytes=mem_limit)
         self.stdout = bytearray()
-        self.stdin = stdin
-        self.stdin_pos = 0
+        self.stdin = InputTape(stdin)
         self.env_vars = dict(env or {})
         self.steps = 0
         self.step_limit = step_limit
@@ -273,7 +321,8 @@ class Interpreter:
     def _result(self, code: int | None, fault: str | None,
                 detail: str) -> ExecutionResult:
         return ExecutionResult(bytes(self.stdout), code, fault, detail,
-                               self.steps, frozenset(self.entered))
+                               self.steps, frozenset(self.entered),
+                               self.stdin.touched)
 
     # ------------------------------------------------------------ calling
 
@@ -1064,19 +1113,6 @@ class Interpreter:
 
     def write_stdout(self, data: bytes) -> None:
         self.stdout.extend(data)
-
-    def read_stdin_line(self) -> bytes | None:
-        """Read up to and including a newline; None at EOF."""
-        if self.stdin_pos >= len(self.stdin):
-            return None
-        idx = self.stdin.find(b"\n", self.stdin_pos)
-        if idx == -1:
-            line = self.stdin[self.stdin_pos:]
-            self.stdin_pos = len(self.stdin)
-        else:
-            line = self.stdin[self.stdin_pos:idx + 1]
-            self.stdin_pos = idx + 1
-        return line
 
 
 # Exact-type dispatch tables for the interpreter's two hot loops.  The

@@ -12,6 +12,7 @@ needed to reproduce the LibTIFF tiff2pdf sign-extension overflow (§IV-A2).
 
 from __future__ import annotations
 
+from .interp import InputTape
 from .memory import MemoryFault, NULL, Pointer, VMError, usable_size
 
 # ------------------------------------------------------------------ helpers
@@ -350,7 +351,7 @@ def native_perror(interp, args):
 def native_gets(interp, args):
     """The inherently dangerous one: unbounded copy from stdin."""
     dest = _ptr(args[0])
-    line = interp.read_stdin_line()
+    line = interp.stdin.line()
     if line is None:
         return NULL
     body = line[:-1] if line.endswith(b"\n") else line
@@ -364,32 +365,24 @@ def native_gets(interp, args):
 def native_fgets(interp, args):
     dest = _ptr(args[0])
     size = _int(args[1])
-    if size <= 0 or interp.stdin_pos >= len(interp.stdin):
+    if size <= 0:
         return NULL
     # Read at most size-1 bytes, stopping after a newline; unlike gets,
     # unread characters stay in the stream.
-    body = bytearray()
-    while len(body) < size - 1 and interp.stdin_pos < len(interp.stdin):
-        byte = interp.stdin[interp.stdin_pos]
-        interp.stdin_pos += 1
-        body.append(byte)
-        if byte == 0x0A:
-            break
-    interp.memory.write_bytes(dest, bytes(body))
+    body = _read_stream(interp, args[2], lambda tape: tape.line(size - 1))
+    if body is None:
+        return NULL
+    interp.memory.write_bytes(dest, body)
     interp.memory.write_bytes(dest.moved(len(body)), b"\x00")
     return dest
 
 
 def native_getchar(interp, args):
-    if interp.stdin_pos >= len(interp.stdin):
-        return -1
-    byte = interp.stdin[interp.stdin_pos]
-    interp.stdin_pos += 1
-    return byte
+    return interp.stdin.getc()
 
 
 def native_fgetc(interp, args):
-    return native_getchar(interp, args)
+    return _read_stream(interp, args[0], InputTape.getc)
 
 
 # ------------------------------------------------------------- file natives
@@ -418,6 +411,19 @@ def _file_of(interp, stream) -> dict:
     return handle
 
 
+def _read_stream(interp, stream, read):
+    """``read(tape)`` on the input behind ``stream``: the run's stdin tape
+    for a std handle, else a tape over the file's virtual-FS buffer from
+    the handle's position, which then moves past what was read."""
+    handle = _file_of(interp, stream)
+    if "std" in handle:
+        return read(interp.stdin)
+    tape = InputTape(interp.virtual_fs()[handle["name"]], handle["pos"])
+    value = read(tape)
+    handle["pos"] = tape.pos
+    return value
+
+
 def native_fclose(interp, args):
     handle = _file_of(interp, args[0])
     handle["closed"] = True
@@ -427,15 +433,8 @@ def native_fclose(interp, args):
 def native_fread(interp, args):
     dest = _ptr(args[0])
     size = _int(args[1]) * _int(args[2])
-    handle = _file_of(interp, args[3])
-    if "std" in handle:
-        data = interp.stdin[interp.stdin_pos:interp.stdin_pos + size]
-        interp.stdin_pos += len(data)
-    else:
-        buffer = interp.virtual_fs()[handle["name"]]
-        data = bytes(buffer[handle["pos"]:handle["pos"] + size])
-        handle["pos"] += len(data)
-    interp.memory.write_bytes(dest, bytes(data))
+    data = _read_stream(interp, args[3], lambda tape: tape.read(size))
+    interp.memory.write_bytes(dest, data)
     item = max(_int(args[1]), 1)
     return len(data) // item
 
@@ -462,11 +461,7 @@ def native_fflush(interp, args):
 
 
 def native_feof(interp, args):
-    handle = _file_of(interp, args[0])
-    if "std" in handle:
-        return 1 if interp.stdin_pos >= len(interp.stdin) else 0
-    return 1 if handle["pos"] >= len(interp.virtual_fs()[handle["name"]]) \
-        else 0
+    return 1 if _read_stream(interp, args[0], InputTape.at_eof) else 0
 
 
 def native_ferror(interp, args):
@@ -995,7 +990,7 @@ def native_memcpy_s(interp, args):
 def native_gets_s(interp, args):
     dest = _ptr(args[0])
     size = _int(args[1])
-    line = interp.read_stdin_line()
+    line = interp.stdin.line()
     if line is None or size <= 0:
         return NULL
     body = line[:-1] if line.endswith(b"\n") else line
@@ -1068,7 +1063,7 @@ def native_s3_vsprintf(interp, args):
 def native_s3_gets(interp, args):
     dest = _ptr(args[0])
     cap = _s3_capacity(interp, dest)
-    line = interp.read_stdin_line()
+    line = interp.stdin.line()
     if line is None or cap <= 0:
         return NULL
     body = line[:-1] if line.endswith(b"\n") else line

@@ -10,7 +10,7 @@ from repro.core.slr import SafeLibraryReplacement
 from repro.core.validate import (
     VERDICT_BENIGN, VERDICT_CHANGED, VERDICT_IDENTICAL, VERDICT_PREVENTED,
     VERDICTS, classify, default_inputs, file_seed, fuzz_inputs,
-    validate_pair, validate_result,
+    oracle_mem_limit, oracle_step_limit, validate_pair, validate_result,
 )
 from repro.vm.interp import ExecutionResult
 
@@ -270,3 +270,106 @@ class TestValidationEval:
         prevented = sum(r.counts.get("overflow-prevented", 0)
                         for r in result.samate_rows)
         assert prevented > 0
+
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
+                        "c")
+
+
+@pytest.fixture(scope="module")
+def oracle_pairs():
+    """Every changed pair the batch oracle judges over the four corpus
+    programs, ``examples/c``, 40 synth files and an 80-program SAMATE
+    sample, with each side's ``read_stdin`` taken from running every
+    probe through ``run_source``."""
+    from repro.cli import _load_program
+    from repro.core import batch
+    from repro.corpus import build_all, build_synth
+    from repro.eval.samate_runner import sample_program
+    from repro.vm.interp import run_source
+
+    recorded = []
+    real = batch.validate_pair
+
+    def record(original, transformed, **kwargs):
+        recorded.append((original, transformed, kwargs["filename"],
+                         kwargs["inputs"]))
+        return real(original, transformed, **kwargs)
+
+    programs = [*build_all().values(), _load_program(EXAMPLES)[0],
+                build_synth(40, 11), sample_program(0.05, 80)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batch, "validate_pair", record)
+        for program in programs:
+            apply_batch(program, jobs=1, validate=True)
+    limits = {"step_limit": oracle_step_limit(),
+              "mem_limit": oracle_mem_limit()}
+    pairs = []
+    for original, transformed, filename, inputs in recorded:
+        if original == transformed:
+            continue
+        rows, reads = [], (set(), set())
+        for probe in inputs:
+            before = run_source(original, stdin=probe.stdin, **limits)
+            after = run_source(transformed, stdin=probe.stdin, **limits)
+            verdict, detail = classify(before, after)
+            rows.append((probe.name, verdict, detail, before.fault or "",
+                         after.fault or ""))
+            reads[0].add(before.read_stdin)
+            reads[1].add(after.read_stdin)
+        pairs.append((original, transformed, filename, inputs, rows,
+                      reads))
+    return pairs
+
+
+class TestStdinBlindRule:
+    """A side whose run never reads stdin answers every later probe of
+    its pair from that run (``core/validate._probe_runner``)."""
+
+    def test_population_has_both_kinds(self, oracle_pairs):
+        reads = [pair[5] for pair in oracle_pairs]
+        assert len(oracle_pairs) >= 120
+        assert ({False}, {False}) in reads
+        assert ({True}, {True}) in reads
+        # Reading stdin is a property of the program, not of the probe:
+        # runs are identical up to the first read.
+        assert all(len(side) == 1 for pair in reads for side in pair)
+
+    def test_verdicts_equal_running_every_probe(self, oracle_pairs,
+                                                monkeypatch):
+        from repro.core.validate import _PROBE_CACHE, _VALIDATE_CACHE
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+        _PROBE_CACHE.clear()
+        _VALIDATE_CACHE.clear()
+        for original, transformed, filename, inputs, rows, _ in \
+                oracle_pairs:
+            report = validate_pair(original, transformed,
+                                   filename=filename, inputs=inputs)
+            assert [(v.input.name, v.verdict, v.detail, v.fault_before,
+                     v.fault_after) for v in report.verdicts] == rows, \
+                filename
+
+    def test_one_run_per_blind_side_and_one_per_probe_otherwise(
+            self, oracle_pairs, monkeypatch):
+        from repro.core import validate
+        calls = []
+        real = validate.run_source
+
+        def spy(text, **kwargs):
+            calls.append(text)
+            return real(text, **kwargs)
+
+        monkeypatch.setattr(validate, "run_source", spy)
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+        for original, transformed, filename, inputs, _, reads in \
+                oracle_pairs:
+            validate._PROBE_CACHE.clear()
+            validate._VALIDATE_CACHE.clear()
+            calls.clear()
+            validate_pair(original, transformed, filename=filename,
+                          inputs=inputs)
+            stdins = len({probe.stdin for probe in inputs})
+            expected = [1 if side == {False} else stdins
+                        for side in reads]
+            assert [calls.count(original), calls.count(transformed)] \
+                == expected, filename

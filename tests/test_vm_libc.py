@@ -1,6 +1,8 @@
 """Tests for the VM's native libc: unsafe semantics, safe alternatives,
 printf formatting, stdio, and the stralloc runtime."""
 
+import pytest
+
 from .helpers import run
 
 P = "#include <stdio.h>\n#include <string.h>\n#include <stdlib.h>\n"
@@ -231,6 +233,79 @@ class TestStdinStdout:
             int a = getchar(), b = getchar();
             printf("%c%c\\n", a, b);
             return 0; }""", stdin=b"xy") == "xy\n"
+
+
+class TestStdinTape:
+    """``ExecutionResult.read_stdin``: did the run look at stdin at all?"""
+
+    DECLS = "char *gets_s(char *s, int n);\nchar *s3_gets(char *dest);\n"
+    READS = {
+        "gets": "gets(b);",
+        "fgets": "fgets(b, sizeof(b), stdin);",
+        "getchar": "getchar();",
+        "fgetc": "fgetc(stdin);",
+        "gets_s": "gets_s(b, sizeof(b));",
+        "s3_gets": "s3_gets(b);",
+        "fread": "fread(b, 1, 4, stdin);",
+        "feof": "feof(stdin);",
+    }
+
+    @pytest.mark.parametrize("stdin", [b"data\n", b""],
+                             ids=["data", "eof"])
+    @pytest.mark.parametrize("builtin", sorted(READS))
+    def test_each_stdin_builtin_marks_the_run(self, builtin, stdin):
+        result = run(P + self.DECLS + "int main(void){ char b[32]; "
+                     + self.READS[builtin] + " return 0; }", stdin=stdin)
+        assert result.ok, result.fault_detail
+        assert result.read_stdin
+
+    def test_print_only_program_does_not(self):
+        result = run(P + """int main(void){
+            char b[8];
+            strcpy(b, "hi");
+            printf("%s %d\\n", b, (int)strlen(b));
+            return 0; }""", stdin=b"ignored\n")
+        assert result.stdout_text == "hi 2\n"
+        assert not result.read_stdin
+
+    def test_fault_before_any_read_does_not(self):
+        result = run(P + """int main(void){
+            char b[4];
+            strcpy(b, "much too long");
+            gets(b);
+            return 0; }""", stdin=b"x\n")
+        assert result.fault == "buffer-overflow"
+        assert not result.read_stdin
+
+    def test_fgets_and_fgetc_read_the_stream_they_are_given(self):
+        # A file read is not a stdin read, and must not see stdin's bytes.
+        result = run(P + """int main(void){
+            char buf[32];
+            FILE *f = fopen("data.txt", "w");
+            fwrite("abc\\n", 1, 4, f);
+            fclose(f);
+            f = fopen("data.txt", "r");
+            if (fgets(buf, 32, f) == NULL) puts("null");
+            printf("[%s]%d\\n", buf, fgetc(f));
+            return 0; }""", stdin=b"FROM-STDIN\n")
+        assert result.stdout_text == "[abc\n]-1\n"
+        assert not result.read_stdin
+
+    def test_file_reads_share_one_position(self):
+        assert out("""int main(void){
+            char buf[8];
+            FILE *f = fopen("d.txt", "w");
+            fwrite("xy\\nzw", 1, 5, f);
+            fclose(f);
+            f = fopen("d.txt", "r");
+            int c = fgetc(f);
+            fgets(buf, sizeof(buf), f);
+            printf("%c[%s]", c, buf);
+            fgets(buf, 2, f);
+            printf("[%s]%d", buf, feof(f));
+            fgets(buf, sizeof(buf), f);
+            printf("[%s]%d\\n", buf, feof(f));
+            return 0; }""", stdin=b"") == "x[y\n][z]0[w]1\n"
 
 
 class TestHeap:
