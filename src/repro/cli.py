@@ -62,12 +62,9 @@ def _read(path: str) -> str:
 
 def _read_dir(directory: str, suffix: str) -> dict[str, str]:
     """Every ``suffix`` file directly inside ``directory``, by name."""
-    found = {}
-    for entry in sorted(os.listdir(directory)):
-        full = os.path.join(directory, entry)
-        if entry.endswith(suffix) and os.path.isfile(full):
-            found[entry] = _read(full)
-    return found
+    from .core.batch import program_files
+    return {name: _read(os.path.join(directory, name))
+            for name in program_files(directory, suffix)}
 
 
 def _headers_beside(path: str) -> dict[str, str]:
@@ -332,6 +329,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
               f"({batch.info.replayed} replayed, {batch.info.quarantined} "
               f"quarantined); resume with --resume {journal.run_id}",
               file=sys.stderr)
+    print(f"{batch.info.from_store}/{len(batch.reports)} file(s) served "
+          f"from the artifact store; {batch.info.workers} pool worker(s) "
+          f"started", file=sys.stderr)
     if arbitrated:
         winners = batch.winners()
         fixed = sum(1 for winner in winners.values() if winner)

@@ -18,12 +18,13 @@ order — so a parallel run differs from a serial one only in wall clock.
 Dispatch is one bounded stream, :class:`BatchStream`: its task source
 yields, per file in filename order, either a :class:`FileTask` or a
 report that is already final (a preprocess failure, a journal replay, a
-quarantined file), and the executor passes a final report through in
-its place.  The executor pulls no more than :func:`stream_window` items
-ahead of emission and emits in input order as results complete, so the
-parent's working set is O(jobs + window) on every path, a resume
-included.  :func:`stream_batch` exposes the stream; :func:`apply_batch`
-collects it into a :class:`BatchResult`.
+quarantined file, a clean report an earlier run stored), and the
+executor passes a final report through in its place.  The executor
+pulls no more than :func:`stream_window` items ahead of emission and
+emits in input order as results complete, so the parent's working set
+is O(jobs + window) on every path, a resume included.
+:func:`stream_batch` exposes the stream; :func:`apply_batch` collects it
+into a :class:`BatchResult`.
 
 The whole pipeline is *fault-isolated*: every stage (preprocess, parse,
 SLR, STR, verify, validate) runs inside a guard that converts an
@@ -109,6 +110,15 @@ def stream_window(jobs: int) -> int:
     waiting for the emission head.
     """
     return max(16, 4 * max(1, jobs))
+
+
+def program_files(directory: str, suffix: str) -> list[str]:
+    """The names of the ``suffix`` files directly inside ``directory``,
+    sorted: what ``repro batch DIR`` reads and ``repro watch DIR``
+    watches.  Subdirectories are not entered."""
+    return [entry for entry in sorted(os.listdir(directory))
+            if entry.endswith(suffix)
+            and os.path.isfile(os.path.join(directory, entry))]
 
 
 @dataclass
@@ -233,6 +243,43 @@ def cached_str(text: str, filename: str,
             text, filename, session=session).run())
 
 
+#: Artifact-store family of whole clean reports, keyed by the task's
+#: work key (:func:`_task_work_key`): :func:`transform_file` writes one
+#: per clean report, and :class:`BatchStream` replays it instead of
+#: dispatching the task again.
+REPORT_FAMILY = "report"
+
+
+def _clean(report) -> bool:
+    """Is ``report`` a pure function of its work key?  Only a report
+    with status ``ok`` and no diagnostics is: faults, timeouts, retries
+    and quarantine all shape the others."""
+    return isinstance(report, FileTransformReport) \
+        and report.status == STATUS_OK and not report.diagnostics
+
+
+def _report_store():
+    """The store that keeps clean reports, or ``None``: with the disk
+    layer off (``REPRO_DISK_CACHE=0``, ``--no-disk-cache``,
+    ``REPRO_CACHE=0``), and while fault rules are set, so that a chaos
+    run exercises every stage and leaves no report for a clean run to
+    replay."""
+    from .store import disk_enabled, get_store
+    if faults.faults_enabled() or not disk_enabled():
+        return None
+    return get_store()
+
+
+def _stored_report(key: str) -> FileTransformReport | None:
+    """The clean report an earlier run stored under work key ``key``,
+    or ``None``."""
+    store = _report_store()
+    if store is None:
+        return None
+    hit, report, _nbytes = store.load(REPORT_FAMILY, key)
+    return report if hit and _clean(report) else None
+
+
 def transform_file(task: FileTask,
                    session: AnalysisSession | None = None
                    ) -> FileTransformReport:
@@ -245,7 +292,9 @@ def transform_file(task: FileTask,
     probe inputs depend only on filename and seed, so verdicts are
     byte-identical at any worker count.  Per-stage wall times land on
     the report's ``stage_times`` (exclusive, so they sum to the file's
-    wall time).
+    wall time).  A clean report (status ``ok``, no diagnostics) is
+    stored under the task's work key, so a later batch over the same
+    file and settings replays it (:func:`_stored_report`).
 
     Every stage runs inside a guard: an exception becomes a
     :class:`~repro.core.diagnostics.FileDiagnostic` on the report and
@@ -294,13 +343,17 @@ def transform_file(task: FileTask,
     diagnostics = [d for d in diagnostics
                    if (key := (d.stage, d.kind, d.message, d.location))
                    not in seen and not seen.add(key)]
-    return FileTransformReport(task.filename, slr_result, str_result,
-                               text, parses,
-                               time.perf_counter() - start, validation,
-                               dict(stage_times),
-                               status=status_of(diagnostics, produced),
-                               diagnostics=diagnostics,
-                               arbitration=arbitration)
+    report = FileTransformReport(task.filename, slr_result, str_result,
+                                 text, parses,
+                                 time.perf_counter() - start, validation,
+                                 dict(stage_times),
+                                 status=status_of(diagnostics, produced),
+                                 diagnostics=diagnostics,
+                                 arbitration=arbitration)
+    store = _report_store() if _clean(report) else None
+    if store is not None:
+        store.store(REPORT_FAMILY, _task_work_key(task), report)
+    return report
 
 
 def _run_stages(task: FileTask, session: AnalysisSession,
@@ -783,6 +836,9 @@ class StreamInfo:
     jobs: int = 1
     #: Files served straight from an attached run journal (``--resume``).
     replayed: int = 0
+    #: Files served from the artifact store: a clean report an earlier
+    #: run stored under the same work key.
+    from_store: int = 0
     #: Files skipped because a previous journaled run quarantined their
     #: content (shipped verbatim, status ``quarantined``).
     quarantined: int = 0
@@ -982,15 +1038,17 @@ class BatchStream:
     executor asks for it (an incremental pre-warm of the store) and
     yields either the :class:`FileTask` a worker must compute or the
     report of a file that needs no worker: a preprocess failure, a
-    journal replay (``--resume``), a quarantined file.  The executor
-    passes such a report through in its place, inside the same
-    :func:`stream_window`, so the parent holds O(window) reports on
-    every path, a resume included; ``executor.max_inflight`` records
-    the high-water mark.  Every file is computed under its own name:
-    files with identical text share only the content-keyed preprocess,
-    SLR, STR and verify caches.  The parent's preprocess seconds land on
-    the ``stage_times`` of every report the stream makes; a replayed
-    report keeps the times it was recorded with.
+    journal replay (``--resume``), a quarantined file, a clean report
+    stored under the task's work key by an earlier run.  The sources
+    are tried in that order.  The executor passes such a report through
+    in its place, inside the same :func:`stream_window`, so the parent
+    holds O(window) reports on every path, a resume included;
+    ``executor.max_inflight`` records the high-water mark.  Every file
+    is computed under its own name: files with identical text share
+    only the content-keyed preprocess, SLR, STR and verify caches.  The
+    parent's preprocess seconds land on the ``stage_times`` of every
+    report the stream makes or replays from the store; a replayed report
+    otherwise keeps the times it was recorded with.
 
     Iterate it once; ``info`` is complete after exhaustion.
     :func:`apply_batch` collects it into a :class:`BatchResult`.
@@ -1023,8 +1081,8 @@ class BatchStream:
         # requested job count still lands in ``info.jobs``.
         self.executor = SerialExecutor() if program.file_count <= 1 \
             else executor
-        #: index -> (work key, parent preprocess seconds) of every task
-        #: handed to the executor and not yet emitted.
+        #: index -> (work key, parent preprocess seconds) of every file
+        #: computed or replayed from the store and not yet emitted.
         self._dispatched: dict[int, tuple[str, float]] = {}
         self._gen = self._run()
 
@@ -1091,17 +1149,26 @@ class BatchStream:
                     self.journal.record_quarantined(filename, key, entry)
                     yield report
                     continue
-                self.journal.record_dispatched(filename, key)
+            # A stored report emits like a computed one: ``_run`` stamps
+            # it and journals it, but no worker is woken for it.
             self._dispatched[index] = (key, seconds)
+            stored = _stored_report(key)
+            if stored is not None:
+                self.info.from_store += 1
+                yield stored
+                continue
+            if self.journal is not None:
+                self.journal.record_dispatched(filename, key)
             yield task
 
     def _journal_emission(self, filename: str, key: str,
                           report: FileTransformReport) -> None:
-        """Journal one computed report as it emits — result pointer
-        published first, then the WAL event — and quarantine content
-        that burned the whole retry budget on a worker-stage death or
-        timeout (the poison-file signature: the *machinery* around the
-        file kept dying, so no per-stage guard could contain it)."""
+        """Journal one computed or stored report as it emits — result
+        pointer published first, then the WAL event — and quarantine
+        content that burned the whole retry budget on a worker-stage
+        death or timeout (the poison-file signature: the *machinery*
+        around the file kept dying, so no per-stage guard could contain
+        it)."""
         self.journal.record_result(filename, key, report)
         if report.status != STATUS_FAILED:
             return
@@ -1115,9 +1182,9 @@ class BatchStream:
 
     def _run(self):
         for index, report in self.executor.imap(self._sources()):
-            computed = self._dispatched.pop(index, None)
-            if computed is not None:
-                key, seconds = computed
+            pending = self._dispatched.pop(index, None)
+            if pending is not None:
+                key, seconds = pending
                 report.stage_times["preprocess"] = seconds
                 if self.journal is not None:
                     self._journal_emission(report.filename, key, report)

@@ -10,7 +10,9 @@ reads, so that every process that ever sees the same content gets them
 for one ``open`` + ``unpickle``.  Parsed ASTs and the oracle's probe
 runs are not among them: they stay in memory, and a later run reads the
 verify verdict instead of an AST and the oracle verdict instead of its
-runs.
+runs.  A batch file's whole clean report is stored too, under its work
+key: a warm batch over an unchanged file reads two entries for it
+(``preprocess`` and ``report``), and no worker computes it.
 
 * **layout** — ``REPRO_CACHE_DIR`` (default ``~/.cache/repro``) holds one
   version directory per (schema, tool fingerprint), named
@@ -77,8 +79,14 @@ SCHEMA_VERSION = 1
 #: ``quarantine`` holds poison-file records (content hash → diagnostic)
 #: written by journaled batch runs — the fingerprint-salted version dir
 #: means a tool change releases every quarantined file automatically.
+#: ``report`` holds one batch file's whole clean report (status ``ok``,
+#: no diagnostics) under its task's work key, so a warm batch over an
+#: unchanged file replays it without forking a worker.  The per-stage
+#: families still serve every file whose work key misses it: a renamed
+#: file, changed settings, arbitration's candidates, the incremental
+#: engine and Table III.
 FAMILIES = ("preprocess", "verify", "slr", "str", "backend", "validate",
-            "execute", "func", "quarantine")
+            "execute", "func", "quarantine", "report")
 
 #: Abandoned temp files older than this are garbage (a crashed writer);
 #: live writers hold a temp file for milliseconds.

@@ -1,13 +1,13 @@
 """``repro watch`` — long-lived re-analysis loop over editing sessions.
 
-Polls one file or every ``.c`` file under a directory for mtime
-changes, debounces rapid saves (``debounce_s`` seconds of quiet
-before a change is processed), and pushes each settled edit
-through one warm :class:`repro.core.incremental.IncrementalEngine` per
-file — so an edit-to-verdict round trip touches only the functions the
-edit changed.  Diagnostics stream one line per update (mode, wall time,
-invalidated functions, verdicts), or machine-readable JSON records with
-``--json``.
+Polls one file or every ``.c`` file directly inside a directory (the
+files ``repro batch`` reads there) for mtime changes, debounces rapid
+saves (``debounce_s`` seconds of quiet before a change is processed),
+and pushes each settled edit through one warm
+:class:`repro.core.incremental.IncrementalEngine` per file — so an
+edit-to-verdict round trip touches only the functions the edit changed.
+Diagnostics stream one line per update (mode, wall time, invalidated
+functions, verdicts), or machine-readable JSON records with ``--json``.
 
 The loop is deterministic and testable: the clock, the sleep function,
 and the output stream are injectable, and ``run(max_scans=N)`` /
@@ -22,6 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+from .batch import program_files
 from .incremental import IncrementalEngine, UpdateReport
 
 __all__ = ["WatchLoop"]
@@ -58,14 +59,15 @@ class WatchLoop:
 
     def watched_paths(self) -> list[str]:
         """Current watch set (rescanned every poll, so files created
-        after startup are picked up)."""
-        if os.path.isdir(self.target):
-            found = []
-            for dirpath, _dirnames, filenames in os.walk(self.target):
-                found.extend(os.path.join(dirpath, name)
-                             for name in filenames if name.endswith(".c"))
-            return sorted(found)
-        return [self.target]
+        after startup are picked up): for a directory, the ``.c`` files
+        directly inside it, which are the files ``repro batch`` reads."""
+        if not os.path.isdir(self.target):
+            return [self.target]
+        try:
+            names = program_files(self.target, ".c")
+        except OSError:
+            return []
+        return [os.path.join(self.target, name) for name in names]
 
     def _state(self, path: str) -> _WatchedFile:
         state = self.files.get(path)

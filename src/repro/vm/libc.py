@@ -369,7 +369,8 @@ def native_fgets(interp, args):
         return NULL
     # Read at most size-1 bytes, stopping after a newline; unlike gets,
     # unread characters stay in the stream.
-    body = _read_stream(interp, args[2], lambda tape: tape.line(size - 1))
+    body = _read_stream(interp, args[2], lambda tape: tape.line(size - 1),
+                        None)
     if body is None:
         return NULL
     interp.memory.write_bytes(dest, body)
@@ -382,7 +383,7 @@ def native_getchar(interp, args):
 
 
 def native_fgetc(interp, args):
-    return _read_stream(interp, args[0], InputTape.getc)
+    return _read_stream(interp, args[0], InputTape.getc, -1)
 
 
 # ------------------------------------------------------------- file natives
@@ -411,13 +412,19 @@ def _file_of(interp, stream) -> dict:
     return handle
 
 
-def _read_stream(interp, stream, read):
+def _read_stream(interp, stream, read, unreadable):
     """``read(tape)`` on the input behind ``stream``: the run's stdin tape
-    for a std handle, else a tape over the file's virtual-FS buffer from
-    the handle's position, which then moves past what was read."""
+    for ``stdin``, else a tape over the file's virtual-FS buffer from
+    the handle's position, which then moves past what was read.
+    ``stdout`` and ``stderr`` are write-only: a read from either returns
+    ``unreadable``, glibc's answer for such a stream, and leaves the
+    stdin tape untouched."""
     handle = _file_of(interp, stream)
-    if "std" in handle:
+    std = handle.get("std")
+    if std == "in":
         return read(interp.stdin)
+    if std is not None:
+        return unreadable
     tape = InputTape(interp.virtual_fs()[handle["name"]], handle["pos"])
     value = read(tape)
     handle["pos"] = tape.pos
@@ -433,7 +440,7 @@ def native_fclose(interp, args):
 def native_fread(interp, args):
     dest = _ptr(args[0])
     size = _int(args[1]) * _int(args[2])
-    data = _read_stream(interp, args[3], lambda tape: tape.read(size))
+    data = _read_stream(interp, args[3], lambda tape: tape.read(size), b"")
     interp.memory.write_bytes(dest, data)
     item = max(_int(args[1]), 1)
     return len(data) // item
@@ -461,7 +468,8 @@ def native_fflush(interp, args):
 
 
 def native_feof(interp, args):
-    return 1 if _read_stream(interp, args[0], InputTape.at_eof) else 0
+    return 1 if _read_stream(interp, args[0], InputTape.at_eof, False) \
+        else 0
 
 
 def native_ferror(interp, args):

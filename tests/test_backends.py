@@ -401,7 +401,9 @@ class TestArbitrationDeterminism:
                             validate=True, **kwargs)
         return batch.winners(), batch.backend_scoreboard()
 
-    def test_jobs_1_vs_jobs_4_identical(self):
+    def test_jobs_1_vs_jobs_4_identical(self, monkeypatch):
+        # Both runs compute: neither replays a stored report.
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
         assert self._outcome(jobs=1) == self._outcome(jobs=4)
 
     def test_cache_off_vs_warm_store_identical(self, fresh_store,

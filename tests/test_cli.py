@@ -130,7 +130,7 @@ class TestPrivateHeaders:
         code, _, err = run_cli(["batch", header_dir / "f.c",
                                 "-o", tmp_path / "one"])
         assert code == 0, err
-        code, _, err = run_cli(["batch", header_dir,
+        code, _, err = run_cli(["batch", header_dir, "--no-disk-cache",
                                 "-o", tmp_path / "all"])
         assert code == 0, err
         assert os.listdir(tmp_path / "one") == ["f.c"]
@@ -297,6 +297,21 @@ class TestBatchStatsFlag:
         assert code == 0
         assert "pool worker" not in out
         assert "disk hits" in out                   # the table itself
+
+
+class TestStoreSummary:
+    @pytest.mark.parametrize("flags", [[], ["--no-run-log"]],
+                             ids=["journaled", "no-run-log"])
+    def test_warm_batch_is_served_from_the_store(self, fresh_store,
+                                                 pool_dir, flags):
+        code, _, err = run_cli(["batch", pool_dir, "-j", "2", *flags])
+        assert code == 0
+        assert "0/2 file(s) served from the artifact store; 2 pool " \
+            "worker(s) started" in err
+        code, _, err = run_cli(["batch", pool_dir, "-j", "2", *flags])
+        assert code == 0
+        assert "2/2 file(s) served from the artifact store; 0 pool " \
+            "worker(s) started" in err
 
 
 class TestFlagEnvironment:

@@ -256,6 +256,8 @@ class TestWorkerFaults:
         expected = {r.filename: r.final_text
                     for r in apply_batch(chaos_program(40),
                                          jobs=1).reports}
+        # The pooled run must dispatch, not replay the stored reports.
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0.001")
         monkeypatch.setenv("REPRO_TASK_RETRIES", "2")
         with alarm_after(120):

@@ -300,7 +300,7 @@ def test_validation_skipped_when_disabled():
 
 # ------------------------------------------------ batch differentials
 
-def _batch_differential(jobs):
+def _batch_differential(jobs, monkeypatch):
     """Incremental engines vs ``apply_batch`` at a given worker count.
 
     Four files, each a different single-function edit of the same base;
@@ -324,6 +324,9 @@ def _batch_differential(jobs):
         assert updates[filename].mode == expected, \
             (filename, updates[filename].mode, updates[filename].reason)
 
+    # The batch computes: the other worker count's run stored these
+    # files' reports.
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     result = apply_batch(SourceProgram("differential", dict(edits)),
                          jobs=jobs, validate=True, fuzz_seed=SEED)
     assert len(result.reports) == len(edits)
@@ -337,9 +340,9 @@ def _batch_differential(jobs):
             report.filename
 
 
-def test_incremental_matches_batch_jobs_1():
-    _batch_differential(jobs=1)
+def test_incremental_matches_batch_jobs_1(monkeypatch):
+    _batch_differential(jobs=1, monkeypatch=monkeypatch)
 
 
-def test_incremental_matches_batch_jobs_4():
-    _batch_differential(jobs=4)
+def test_incremental_matches_batch_jobs_4(monkeypatch):
+    _batch_differential(jobs=4, monkeypatch=monkeypatch)

@@ -75,7 +75,8 @@ def report_essence(result):
 
 
 class TestJournalRoundTrip:
-    def test_journaled_batch_writes_run_dir(self, tmp_path):
+    def test_journaled_batch_writes_run_dir(self, fresh_store, tmp_path):
+        # An empty store: every file is dispatched, none replayed.
         program = make_program(3)
         journal = RunJournal("run-a", root=str(tmp_path / "runs"))
         journal.begin(program, {"validate": False})

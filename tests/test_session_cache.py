@@ -244,8 +244,10 @@ class TestSerialParallelEquivalence:
         return out
 
     @pytest.mark.parametrize("name", ["zlib", "libpng"])
-    def test_corpus_program_equivalent(self, name):
+    def test_corpus_program_equivalent(self, name, monkeypatch):
         from repro.corpus import PROGRAM_BUILDERS
+        # Both runs compute: neither replays a stored report.
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
         program = PROGRAM_BUILDERS[name]()
         serial = apply_batch(program, jobs=1)
         parallel = apply_batch(program, jobs=2)
@@ -300,12 +302,13 @@ class TestOracleDeterminism:
         batch = apply_batch(program, validate=True, **kwargs)
         return [v.as_dict() for v in batch.validations()]
 
-    def test_verdicts_identical_serial_vs_parallel(self):
+    def test_verdicts_identical_serial_vs_parallel(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
         assert self._verdicts(jobs=1) == self._verdicts(jobs=4)
 
     def test_verdicts_identical_with_cache_off(self, monkeypatch):
         with_cache = self._verdicts(jobs=1)
-        monkeypatch.setenv("REPRO_CACHE", "off")
+        monkeypatch.setenv("REPRO_CACHE", "0")
         without_cache = self._verdicts(
             jobs=1, session=AnalysisSession(cache_name="t-oracle-off"))
         assert with_cache == without_cache

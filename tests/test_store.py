@@ -114,7 +114,7 @@ class TestArtifactStore:
     def test_no_ast_family(self):
         from repro.core.store import FAMILIES
         assert "parse" not in FAMILIES
-        assert len(FAMILIES) == 9
+        assert len(FAMILIES) == 10
 
 
 class TestConcurrentWriters:
@@ -346,7 +346,9 @@ class TestBatchIntegration:
 
     def test_warm_cross_process_replays_from_disk(self, fresh_store):
         """Simulate a new process (empty memory caches, same store):
-        the rerun is served by disk hits and is byte-identical."""
+        the rerun replays the file's stored report, and a rerun whose
+        work key misses that report (a new oracle seed) is served by
+        per-stage disk hits; both are byte-identical to the cold run."""
         from repro.cfront.cache import _PP_CACHE
         from repro.core.batch import _SLR_CACHE, _STR_CACHE, \
             SourceProgram, apply_batch
@@ -362,44 +364,75 @@ class TestBatchIntegration:
             (_PP_CACHE, _SLR_CACHE, _STR_CACHE, _VALIDATE_CACHE),
             lambda: apply_batch(SourceProgram("xp", {"a.c": src}),
                                 jobs=1, validate=True))
-        assert sum(delta.disk_hits for delta in deltas) > 0
-        assert deltas[1].disk_hits == 1
+        assert warm.info.from_store == 1
+        assert [delta.disk_hits for delta in deltas] == [1, 0, 0, 0]
         assert warm.reports[0].final_text == cold.reports[0].final_text
         assert warm.reports[0].validation.counts() \
             == cold.reports[0].validation.counts()
 
+        clear_all_caches()
+        reset_session()
+        reseeded, deltas = counter_deltas(
+            (_PP_CACHE, _SLR_CACHE, _STR_CACHE, _VALIDATE_CACHE),
+            lambda: apply_batch(SourceProgram("xp", {"a.c": src}),
+                                jobs=1, validate=True, fuzz_seed=5))
+        assert reseeded.info.from_store == 0
+        assert sum(delta.disk_hits for delta in deltas) > 0
+        assert deltas[1].disk_hits == 1
+        assert reseeded.reports[0].final_text \
+            == cold.reports[0].final_text
+
     @pytest.mark.parametrize("backends", [None, ("slr", "str", "s3lib")],
                              ids=["slr-str", "arbitration"])
     def test_warm_rerun_parses_nothing(self, fresh_store, backends):
-        """A new process over a warm store learns every verify verdict
-        from the store: it builds no AST and loads none, and its
-        reports match the cold run's."""
+        """A new process over a warm store builds no AST and loads none:
+        a rerun of the same batch replays each file's report, and a
+        rerun without ``--validate``, whose work keys miss those
+        reports, learns every verify verdict (and, under arbitration,
+        every judge's verdict) from the store.  Both match the cold
+        run."""
         from repro.core.batch import SourceProgram, apply_batch
         from repro.core.session import reset_session
         files = {f"{name}.c": BROKEN_TMPL.format(tag=f"no-ast-{name}")
                  for name in ("a", "b")}
 
-        def run():
+        def run(validate=True):
             result = apply_batch(SourceProgram("no-ast", dict(files)),
-                                 jobs=1, validate=True, backends=backends)
-            return [(r.filename, r.final_text, r.parses, r.status,
-                     [d.as_dict() for d in r.diagnostics],
-                     r.validation.as_dict() if r.validation else None,
-                     r.arbitration.as_dict() if r.arbitration else None)
-                    for r in result.reports]
+                                 jobs=1, validate=validate,
+                                 backends=backends)
+            return result.info.from_store, [
+                (r.filename, r.final_text, r.parses, r.status,
+                 [d.as_dict() for d in r.diagnostics],
+                 r.validation.as_dict() if r.validation else None,
+                 r.arbitration.as_dict() if r.arbitration else None)
+                for r in result.reports]
 
-        cold = run()
+        _, cold = run()
         stored = fresh_store.usage()
         assert stored["verify"]["entries"] >= 1
         assert "parse" not in stored
         clear_all_caches()
         session = reset_session()
-        warm = run()
+        assert run() == (2, cold)
         assert session.parse_stats.misses == 0
         assert fresh_store.usage() == stored        # nothing new written
+
+        clear_all_caches()
+        session = reset_session()
+        from_store, unvalidated = run(validate=False)
+        assert from_store == 0
+        assert session.parse_stats.misses == 0
+        usage = fresh_store.usage()
+        assert usage.pop("report")["entries"] == 4  # the new keys' reports
+        stored.pop("report")
+        assert usage == stored
         assert not os.path.exists(
             os.path.join(fresh_store.version_dir, "parse"))
-        assert warm == cold
+        # Under arbitration the judge runs either way; the legacy chain
+        # without --validate judges nothing.
+        expected = cold if backends else \
+            [row[:5] + (None,) + row[6:] for row in cold]
+        assert unvalidated == expected
 
     def test_validate_seed_changes_miss_cache(self, fresh_store,
                                               monkeypatch):

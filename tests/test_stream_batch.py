@@ -58,7 +58,9 @@ def report_shape(report):
 
 
 class TestStreamEquivalence:
-    def test_stream_matches_apply_batch(self, fresh_store):
+    def test_stream_matches_apply_batch(self, fresh_store, monkeypatch):
+        # Both runs compute: neither replays the other's stored reports.
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
         program = distinct_program(6)
         collected = apply_batch(distinct_program(6), jobs=1,
                                 validate=False)
@@ -66,7 +68,8 @@ class TestStreamEquivalence:
         assert [report_shape(r) for r in streamed] \
             == [report_shape(r) for r in collected.reports]
 
-    def test_jobs_1_vs_4_byte_identical(self, fresh_store):
+    def test_jobs_1_vs_4_byte_identical(self, fresh_store, monkeypatch):
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
         serial = [report_shape(r) for r in
                   stream_batch(distinct_program(8), jobs=1,
                                validate=True)]

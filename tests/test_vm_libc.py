@@ -291,6 +291,34 @@ class TestStdinTape:
         assert result.stdout_text == "[abc\n]-1\n"
         assert not result.read_stdin
 
+    #: A read from a write-only stream, and what glibc returns for it.
+    WRITE_ONLY = {
+        "fgets": ("fgets(b, sizeof(b), {s}) == NULL", "1"),
+        "fgetc": ("fgetc({s})", "-1"),
+        "fread": ("(int)fread(b, 1, 4, {s})", "0"),
+        "feof": ("feof({s})", "0"),
+    }
+
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    @pytest.mark.parametrize("builtin", sorted(WRITE_ONLY))
+    def test_write_only_std_streams_read_nothing(self, builtin, stream):
+        call, expected = self.WRITE_ONLY[builtin]
+        result = run(P + "int main(void){ char b[32]; printf(\"%d\\n\", "
+                     + call.format(s=stream) + "); return 0; }",
+                     stdin=b"SECRET\n")
+        assert result.ok, result.fault_detail
+        assert result.stdout_text == expected + "\n"
+        assert not result.read_stdin
+
+    def test_stdin_is_intact_after_a_read_from_stdout(self):
+        assert out("""int main(void){
+            char b[32];
+            fgetc(stdout);
+            fgets(b, sizeof(b), stderr);
+            fgets(b, sizeof(b), stdin);
+            printf("[%s]", b);
+            return 0; }""", stdin=b"SECRET\n") == "[SECRET\n]"
+
     def test_file_reads_share_one_position(self):
         assert out("""int main(void){
             char buf[8];

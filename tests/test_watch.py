@@ -103,6 +103,22 @@ def test_directory_watch_picks_up_new_files(tmp_path):
         ["a.c", "b.c"]
 
 
+def test_directory_watch_lists_the_files_batch_reads(tmp_path):
+    from repro.cli import _load_program
+    (tmp_path / "a.c").write_text(SRC)
+    (tmp_path / "b.c").write_text(SRC)
+    (tmp_path / "notes.h").write_text("int notes;\n")
+    (tmp_path / "dir.c").mkdir()
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "nested.c").write_text(SRC)
+    loop = WatchLoop(str(tmp_path), validate=False, clock=FakeClock(),
+                     sleep=lambda s: None, out=io.StringIO())
+    program, _error = _load_program(str(tmp_path))
+    watched = [os.path.basename(p) for p in loop.watched_paths()]
+    assert watched == sorted(program.files) == ["a.c", "b.c"]
+    assert len(loop.scan_once(force=True)) == 2
+
+
 def test_unprocessable_file_is_contained(tmp_path):
     (tmp_path / "good.c").write_text(SRC)
     (tmp_path / "garbage.c").write_text("int main() {\n\x01\x02\n}\n")
