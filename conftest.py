@@ -1,9 +1,11 @@
 """Repo-wide test fixtures.
 
-Every test process gets a throwaway ``REPRO_CACHE_DIR`` so the suite
-never reads from — or litters — the user's ``~/.cache/repro``, and so
-tests exercising the persistent artifact store observe only their own
-entries.
+Every test gets its own throwaway ``REPRO_CACHE_DIR``, so the suite
+never reads from — or litters — the user's ``~/.cache/repro``, and no
+test replays an entry (a stored report, say) that another test wrote:
+which code path a test runs does not depend on test order.  Module- and
+session-scoped fixtures see one process-wide throwaway store.  The
+in-memory LRUs are shared by the whole process.
 """
 
 import os
@@ -12,12 +14,24 @@ import pytest
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _isolated_artifact_store(tmp_path_factory):
+def _process_artifact_store(tmp_path_factory):
     os.environ["REPRO_CACHE_DIR"] = \
         str(tmp_path_factory.mktemp("repro-store"))
     from repro.core.store import reset_store
     reset_store()
     yield
+
+
+@pytest.fixture(autouse=True)
+def _isolated_artifact_store(_process_artifact_store, tmp_path_factory):
+    from repro.core.store import reset_store
+    process_store = os.environ["REPRO_CACHE_DIR"]
+    os.environ["REPRO_CACHE_DIR"] = \
+        str(tmp_path_factory.mktemp("repro-store"))
+    reset_store()
+    yield
+    os.environ["REPRO_CACHE_DIR"] = process_store
+    reset_store()
 
 
 @pytest.fixture

@@ -20,12 +20,12 @@ dominators are unique by construction.
 
 from __future__ import annotations
 
-import os
+from ..envknobs import bool_knob
 
 
 def fast_enabled() -> bool:
     """Is the analysis fast path active?  On unless REPRO_ANALYSIS_FAST=0."""
-    return os.environ.get("REPRO_ANALYSIS_FAST", "1") not in ("0", "")
+    return bool_knob("REPRO_ANALYSIS_FAST", True)
 
 
 # ------------------------------------------------------------------ SCC

@@ -26,7 +26,7 @@ rather than on all of it: the parser keeps the header preambles it has
 parsed there (:mod:`repro.cfront.parser`), memory only, and shares each
 with every later text that starts with it.
 
-Environment knobs:
+Environment knobs (on/off: ``0``/``false``/``no``/``off`` turn one off):
 
 * ``REPRO_CACHE=0``      — disable all frontend caches (every call misses,
   the disk layer included; the parser neither reads nor fills its
@@ -41,15 +41,16 @@ given one.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
+
+from ..envknobs import bool_knob
 
 DEFAULT_CACHE_SIZE = 512
 
 
 def caches_enabled() -> bool:
-    return os.environ.get("REPRO_CACHE", "1") != "0"
+    return bool_knob("REPRO_CACHE", True)
 
 
 _SALT: bytes | None = None

@@ -27,10 +27,16 @@ Subcommands mirror how the paper's tool is used:
 * ``synth``          — generate a synthetic ground-truth corpus of
   planted overflow/safe files, VM-validated and deterministic by seed.
 
-``fix``, ``run``, ``analyze`` and a single-file ``batch`` or
-``validate`` give the file the ``.h`` files beside it as its private
-headers, as a batch over its directory does; a source that still does
-not lex, preprocess or parse prints one ``error:`` line and exits 1.
+``batch``, ``validate``, ``fix``, ``run`` and ``analyze`` read their
+program through :func:`repro.core.batch.load_program`, and ``watch``
+reads the same files, so a single file gets the ``.h`` files beside it
+as its private headers, as a batch over its directory does; a path with
+nothing to read prints one line and exits 2.
+A single-file source that does not lex or preprocess prints one
+``error:`` line and exits 1.  ``fix`` runs the file through the batch's
+per-file pipeline (:func:`repro.core.batch.transform_file`) and prints
+what ``batch -o`` writes; a stage that fails there prints one diagnostic
+line, and a file that no stage could transform exits 1.
 
 ``batch`` and ``validate`` accept ``--no-disk-cache`` (this run skips
 the persistent store) and ``batch`` accepts ``--profile`` (render the
@@ -52,45 +58,36 @@ import argparse
 import os
 import sys
 
-from . import apply_slr, apply_str, get_session, run_c
+from . import get_session, run_c
+from .core.batch import FileTask, ProgramError, load_program, \
+    transform_file
+from .core.diagnostics import STATUS_FAILED
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
-def _read_dir(directory: str, suffix: str) -> dict[str, str]:
-    """Every ``suffix`` file directly inside ``directory``, by name."""
-    from .core.batch import program_files
-    return {name: _read(os.path.join(directory, name))
-            for name in program_files(directory, suffix)}
-
-
-def _headers_beside(path: str) -> dict[str, str]:
-    """The ``.h`` files in ``path``'s directory: the private headers a
-    batch over that directory gives the file."""
-    return _read_dir(os.path.dirname(path) or ".", ".h")
-
-
-def _preprocess_file(path: str) -> str:
-    """Preprocess one C file, the ``.h`` files beside it included."""
-    return get_session().preprocess(_read(path), path,
-                                    _headers_beside(path)).text
+def _preprocess_file(path: str) -> tuple[str, str]:
+    """The one-file program at ``path``: its name and its text,
+    preprocessed with its private headers (a preprocess error names
+    ``path``)."""
+    program = load_program(path)
+    if len(program.files) != 1:
+        raise ProgramError(f"{path} holds {len(program.files)} .c files; "
+                           f"name one")
+    [(name, source)] = program.files.items()
+    text = get_session().preprocess(source, path, program.headers).text
+    return name, text
 
 
 def cmd_fix(args: argparse.Namespace) -> int:
-    text = _preprocess_file(args.file)
-    outcomes = []
-    if not args.no_slr:
-        result = apply_slr(text, args.file, profile=args.profile)
-        outcomes.extend(result.outcomes)
-        text = result.new_text
-    if not args.no_str:
-        result = apply_str(text, args.file)
-        outcomes.extend(result.outcomes)
-        text = result.new_text
-
+    name, text = _preprocess_file(args.file)
+    report = transform_file(FileTask(name, text, run_slr=not args.no_slr,
+                                     run_str=not args.no_str,
+                                     profile=args.profile))
+    for diag in report.diagnostics:
+        message = diag.message.splitlines()[0] if diag.message else ""
+        print(f"[{report.status}] {diag.stage} {diag.kind}: {message}",
+              file=sys.stderr)
+    outcomes = [outcome for result in (report.slr, report.str_) if result
+                for outcome in result.outcomes]
     for outcome in outcomes:
         marker = "FIXED" if outcome.transformed else "SKIP "
         reason = f" ({outcome.reason})" if outcome.reason else ""
@@ -100,18 +97,18 @@ def cmd_fix(args: argparse.Namespace) -> int:
 
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(report.final_text)
         print(f"wrote {args.output}", file=sys.stderr)
     else:
-        print(text)
+        print(report.final_text)
     transformed = sum(1 for o in outcomes if o.transformed)
     print(f"{transformed}/{len(outcomes)} sites transformed",
           file=sys.stderr)
-    return 0
+    return 0 if report.parses and report.status != STATUS_FAILED else 1
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    text = _preprocess_file(args.file)
+    _name, text = _preprocess_file(args.file)
     stdin = args.stdin.encode() if args.stdin else b""
     result = run_c(text, stdin=stdin)
     sys.stdout.write(result.stdout_text)
@@ -126,7 +123,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from .core.bufferlen import BufferLengthAnalyzer, LengthFailure
     from .core.slr import UNSAFE_FUNCTIONS
 
-    text = _preprocess_file(args.file)
+    _name, text = _preprocess_file(args.file)
     parsed = get_session().parse(text, args.file)
     unit, pa = parsed.unit, parsed.analysis
     lengths = BufferLengthAnalyzer(pa, text)
@@ -154,29 +151,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 print(f"  {node.callee_name}({dest}, ...): "
                       f"size = {result.render()}")
     return 0
-
-
-def _load_program(path: str):
-    """Build a SourceProgram from a directory of .c/.h files, or from a
-    single file and the .h files beside it; returns (program,
-    error-message)."""
-    from .core.batch import SourceProgram
-
-    try:
-        if os.path.isfile(path):
-            name = os.path.basename(path)
-            return SourceProgram(name, {name: _read(path)},
-                                 _headers_beside(path)), None
-        files = _read_dir(path, ".c")
-        headers = _read_dir(path, ".h")
-    except OSError as exc:
-        return None, f"cannot read {path}: {exc.strerror}"
-    if not files:
-        return None, f"no .c files in {path}"
-    program = SourceProgram(
-        os.path.basename(os.path.abspath(path)) or "program",
-        files, headers)
-    return program, None
 
 
 def _apply_env_flags(args: argparse.Namespace) -> None:
@@ -231,10 +205,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     )
 
     _apply_env_flags(args)
-    program, error = _load_program(args.directory)
-    if program is None:
-        print(error, file=sys.stderr)
-        return 2
+    program = load_program(args.directory)
     try:
         backends = resolve_backends(args.backends) if args.backends \
             else None
@@ -373,10 +344,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from .core.report import render_validation
 
     _apply_env_flags(args)
-    program, error = _load_program(args.path)
-    if program is None:
-        print(error, file=sys.stderr)
-        return 2
+    program = load_program(args.path)
     try:
         batch = apply_batch(program, run_slr=not args.no_slr,
                             run_str=not args.no_str,
@@ -832,6 +800,9 @@ def main(argv: list[str] | None = None) -> int:
     except SourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ProgramError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Long listings piped into ``head`` close stdout early; point
         # it at devnull so interpreter shutdown's flush stays quiet.

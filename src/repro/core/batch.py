@@ -62,7 +62,7 @@ from .backends import (
     ARBITRATION_VERSION, CANDIDATE_ERROR, ArbitrationReport,
     arbitrate_file, resolve_backends, scoreboard,
 )
-from .envknobs import float_knob, int_knob
+from ..envknobs import float_knob, int_knob
 from .session import AnalysisSession, get_session
 from .slr import SafeLibraryReplacement
 from .strtransform import SafeTypeReplacement
@@ -121,6 +121,24 @@ def program_files(directory: str, suffix: str) -> list[str]:
             and os.path.isfile(os.path.join(directory, entry))]
 
 
+def read_source(path: str) -> str:
+    """The text of one ``.c`` or ``.h`` file, as every command reads it."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
+def read_sources(directory: str, suffix: str) -> dict[str, str]:
+    """Every ``suffix`` file directly inside ``directory``, by name."""
+    return {name: read_source(os.path.join(directory, name))
+            for name in program_files(directory, suffix)}
+
+
+def header_dir(path: str) -> str:
+    """Where the private headers of the program at ``path`` live: the
+    directory itself, or the directory a ``.c`` file sits in."""
+    return path if os.path.isdir(path) else os.path.dirname(path) or "."
+
+
 @dataclass
 class SourceProgram:
     """A C program: source files, private headers, predefined macros."""
@@ -166,6 +184,31 @@ class SourceProgram:
     def pp_kloc(self) -> float:
         """Preprocessed KLOC (the paper's 'PP KLOC' column)."""
         return self.preprocess().kloc()
+
+
+class ProgramError(Exception):
+    """No program can be read at a path; the message says why."""
+
+
+def load_program(path: str) -> SourceProgram:
+    """The program at ``path``: the ``.c`` files directly inside a
+    directory, or one ``.c`` file, with the ``.h`` files beside them as
+    its private headers.  ``batch``, ``validate``, ``fix``, ``run`` and
+    ``analyze`` read this program; ``watch`` watches it.  Raises
+    :class:`ProgramError` when nothing can be read."""
+    try:
+        if os.path.isdir(path):
+            name = os.path.basename(os.path.abspath(path)) or "program"
+            files = read_sources(path, ".c")
+        else:
+            name = os.path.basename(path)
+            files = {name: read_source(path)}
+        headers = read_sources(header_dir(path), ".h")
+    except OSError as exc:
+        raise ProgramError(f"cannot read {path}: {exc.strerror}") from exc
+    if not files:
+        raise ProgramError(f"no .c files in {path}")
+    return SourceProgram(name, files, headers)
 
 
 @dataclass(frozen=True)

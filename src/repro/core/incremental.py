@@ -12,9 +12,11 @@ only the latency differs.  The machinery:
   edits invalidate nothing.
 * Preprocessing composes per-fragment: the preamble render plus one
   cached render per function (``#include`` expansion and macros live in
-  the preamble, which incremental updates require to be unchanged).  A
-  warm-up self-check compares the composition against the real
-  preprocessor and permanently falls back on mismatch.
+  the preamble, which incremental updates require to be unchanged).
+  Renders see the program's private headers, and their keys carry the
+  header texts, so a header edit misses instead of replaying a stale
+  fragment.  A warm-up self-check compares the composition against the
+  real preprocessor and permanently falls back on mismatch.
 * SLR and STR each replay per-function :class:`FunctionRecord`\\ s from
   the content-addressed ``func`` store family.  Records are keyed per
   *coupling component* — the union-find closure of functions connected
@@ -34,7 +36,15 @@ only the latency differs.  The machinery:
 Any situation the incremental path does not model — preamble edits,
 reorders, mid-file declarations, edits outside function spans,
 position-dependent macros — falls back to the full pipeline, which is
-also how the engine warms up.
+also how the engine warms up.  The full pipeline is the batch's: the
+text is preprocessed with the program's headers through the same
+session call and store key a batch uses, and
+:func:`repro.core.batch.transform_file` runs SLR, STR and the verify
+step under the batch's stage guards (the engine's own oracle then
+judges, so later edits can reuse its probe runs).  A stage failure,
+injected by a fault rule included, degrades the report exactly as in a
+batch and leaves no warm state, so every later update runs the full
+pipeline again.
 """
 
 from __future__ import annotations
@@ -52,6 +62,10 @@ from ..cfront.funcdiff import (SegmentedFile, UnsupportedLayout, components,
 from ..cfront.preprocessor import Preprocessor, _squeeze_blank_lines
 from ..cfront.rewriter import Rewriter
 from ..cfront.tokens import tokens_to_text
+from . import faults
+from .batch import FileTask, transform_file
+from .diagnostics import STATUS_FAILED, STATUS_OK, \
+    diagnostic_from_exception, status_of
 from .session import AnalysisSession, get_session
 from .slr import SafeLibraryReplacement
 from .slr import finalize_blocks as slr_finalize_blocks
@@ -140,26 +154,24 @@ def _function_spans(seg: SegmentedFile) -> dict[str, tuple[int, int, int]]:
     return spans
 
 
-def _split_records(text: str, spans: dict[str, tuple[int, int, int]],
-                   transformation, result) -> dict[str, FunctionRecord]:
-    """Slice one whole-unit transformation run into per-function records.
+def _split_records(spans: dict[str, tuple[int, int, int]],
+                   result) -> dict[str, FunctionRecord]:
+    """Slice one whole-unit transformation result into per-function
+    records.
 
-    Every queued edit and every outcome must be attributable to exactly
+    Every site edit and every outcome must be attributable to exactly
     one function span (finalize edits excepted — they must all be
     insertions at offset 0, recomputed at composition time); anything
     else makes the file unsupported for replay.
     """
-    all_edits = list(transformation.rewriter.edits_since(0))
-    n_finalize = len(result.finalize_edits)
-    site_edits = all_edits[:len(all_edits) - n_finalize] if n_finalize \
-        else all_edits
-    for start, end, _replacement in all_edits[len(site_edits):]:
+    text = result.original_text
+    for start, end, _replacement in result.finalize_edits:
         if (start, end) != (0, 0):
             raise _Fallback("finalize-edit-not-at-offset-0", permanent=True)
 
     ordered = sorted(spans.items(), key=lambda kv: kv[1][0])
     edits_by_fn: dict[str, list] = {name: [] for name in spans}
-    for edit in site_edits:
+    for edit in result.site_edits:
         start, end, _replacement = edit
         for name, (s, e, _line) in ordered:
             if s <= start and end <= e:
@@ -179,7 +191,7 @@ def _split_records(text: str, spans: dict[str, tuple[int, int, int]],
         outcomes_by_fn[outcome.function].append(
             replace(outcome, line=rel_line))
 
-    decls_by_fn = getattr(transformation, "decls_by_function", {})
+    decls_by_fn = result.decls_by_function
     records: dict[str, FunctionRecord] = {}
     for name, (s, e, _line) in spans.items():
         fragment = text[s:e]
@@ -290,11 +302,10 @@ class _StageRunner:
 
     # ------------------------------------------------------- warm path
 
-    def from_full(self, seg: SegmentedFile, transformation,
-                  result) -> _StageState:
-        """Build and publish records from a real whole-unit run."""
-        spans = _function_spans(seg)
-        records = _split_records(seg.text, spans, transformation, result)
+    def from_full(self, seg: SegmentedFile, result) -> _StageState:
+        """Build and publish records from a real whole-unit run's
+        result (``seg`` segments its input text)."""
+        records = _split_records(_function_spans(seg), result)
         for key, members in self._component_keys(seg):
             submap = {name: records[name] for name in members}
             _FUNC_CACHE.get_or_build(key, lambda sm=submap: sm)
@@ -342,13 +353,12 @@ class _StageRunner:
             pos += len(separator)
             line += separator.count("\n")
         reduced = "".join(parts)
-        transformation = self.spec.make(reduced, self.filename, session,
-                                        reserved)
-        result = transformation.run()
+        result = self.spec.make(reduced, self.filename, session,
+                                reserved).run()
         if result.changed and session.try_parse(
                 result.new_text, self.filename)[1] is not None:
             raise _Fallback("reduced-output-does-not-parse")
-        return _split_records(reduced, spans, transformation, result)
+        return _split_records(spans, result)
 
     def _compose(self, seg: SegmentedFile,
                  records: dict[str, FunctionRecord]) -> _StageState:
@@ -385,6 +395,10 @@ class UpdateReport:
     slr_outcomes: list = field(default_factory=list)
     str_outcomes: list = field(default_factory=list)
     validation: object = None       # ValidationReport | None
+    #: The batch's file status and contained failures (see
+    #: :class:`repro.core.batch.FileTransformReport`).
+    status: str = STATUS_OK
+    diagnostics: list = field(default_factory=list)
     changed: frozenset = frozenset()
     inserted: frozenset = frozenset()
     deleted: frozenset = frozenset()
@@ -403,6 +417,8 @@ class UpdateReport:
             "filename": self.filename,
             "mode": self.mode,
             "reason": self.reason,
+            "status": self.status,
+            "diagnostics": [d.as_dict() for d in self.diagnostics],
             "parses": self.parses,
             "changed": sorted(self.changed),
             "inserted": sorted(self.inserted),
@@ -428,12 +444,23 @@ class UpdateReport:
 class IncrementalEngine:
     """Re-analyzes successive versions of one file, reusing everything
     an edit did not touch.  See the module docstring for the contract:
-    every report is byte-identical to a cold run of the same text."""
+    every report is byte-identical to a cold run of the same text.
 
-    def __init__(self, filename: str = "<watch>", *, profile: str = "glib",
-                 validate: bool = True, fuzz_seed=None,
-                 session: AnalysisSession | None = None):
+    ``headers`` are the program's private headers (name -> text), fixed
+    for the engine's life: a header edit needs a new engine.
+    """
+
+    def __init__(self, filename: str = "<watch>", *,
+                 headers: dict[str, str] | None = None,
+                 profile: str = "glib", validate: bool = True,
+                 fuzz_seed=None, session: AnalysisSession | None = None):
         self.filename = filename
+        self.headers = dict(headers or {})
+        #: The header set as content-key parts (count, then name and
+        #: text per header), so no two header sets share a key.
+        self._header_key = (str(len(self.headers)),
+                            *[part for name in sorted(self.headers)
+                              for part in (name, self.headers[name])])
         self.profile = profile
         self.validate = validate
         self.fuzz_seed = fuzz_seed
@@ -497,42 +524,50 @@ class IncrementalEngine:
     # ------------------------------------------------------ full path
 
     def _full(self, text: str, reason: str) -> UpdateReport:
-        """The cold pipeline (same stages as ``transform_file``), plus a
-        state rebuild so the next update can go incremental."""
-        session = self.session
-        pp = session.preprocess(text, self.filename).text
-        slr_t = SafeLibraryReplacement(pp, self.filename,
-                                       profile=self.profile, session=session)
-        slr_result = slr_t.run()
-        str_t = SafeTypeReplacement(slr_result.new_text, self.filename,
-                                    session=session)
-        str_result = str_t.run()
-        final = str_result.new_text
-        parses = final == pp or session.verify(final, self.filename) is None
-        validation = None
-        if self.validate and parses:
-            validation = self.validator.validate(pp, final, None,
-                                                 inputs=self._inputs())
+        """The batch's pipeline for one file (see the module docstring),
+        plus a state rebuild so the next update can go incremental."""
         self._reset_state()
-        if not self._unsupported:
+        try:
+            faults.check("preprocess", self.filename)
+            pp = self.session.preprocess(text, self.filename,
+                                         self.headers).text
+        except Exception as exc:
+            return UpdateReport(
+                self.filename, "error", repr(exc), text, False,
+                status=STATUS_FAILED,
+                diagnostics=[diagnostic_from_exception(
+                    "preprocess", self.filename, exc)])
+        report = transform_file(
+            FileTask(self.filename, pp, profile=self.profile), self.session)
+        diagnostics = list(report.diagnostics)
+        validation = None
+        if self.validate and report.parses:
             try:
-                self._rebuild(text, pp, slr_t, slr_result, str_t, str_result,
-                              parses)
+                faults.check("validate", self.filename)
+                validation = self.validator.validate(
+                    pp, report.final_text, None, inputs=self._inputs())
+            except Exception as exc:
+                diagnostics.append(diagnostic_from_exception(
+                    "validate", self.filename, exc))
+        if not (self._unsupported or diagnostics):
+            try:
+                self._rebuild(text, pp, report)
             except _Fallback as fb:
                 if fb.permanent:
                     self._unsupported = fb.reason
                 self._reset_state()
-            except (UnsupportedLayout, Exception):
+            except Exception:
                 self._reset_state()
-        return UpdateReport(self.filename, "full", reason, final, parses,
-                            list(slr_result.outcomes),
-                            list(str_result.outcomes), validation)
+        return UpdateReport(
+            self.filename, "full", reason, report.final_text, report.parses,
+            list(report.slr.outcomes) if report.slr else [],
+            list(report.str_.outcomes) if report.str_ else [], validation,
+            status=status_of(diagnostics, report.slr is not None
+                             or report.str_ is not None),
+            diagnostics=diagnostics)
 
-    def _rebuild(self, raw: str, pp: str, slr_t, slr_result, str_t,
-                 str_result, parses: bool) -> None:
-        """Derive the warm per-function state from a full run."""
-        if not parses:
-            raise _Fallback("output-does-not-parse")
+    def _rebuild(self, raw: str, pp: str, report) -> None:
+        """Derive the warm per-function state from a clean full run."""
         if _POSITION_MACROS.search(raw):
             raise _Fallback("position-dependent-macro", permanent=True)
         raw_seg = segment_file(raw, self.filename)
@@ -542,11 +577,11 @@ class IncrementalEngine:
         pp_seg = segment_file(pp, self.filename)
         if pp_seg.has_midfile_declarations():
             raise _Fallback("midfile-declarations")
-        slr_state = self._slr.from_full(pp_seg, slr_t, slr_result)
-        str_seg = segment_file(slr_result.new_text, self.filename)
+        slr_state = self._slr.from_full(pp_seg, report.slr)
+        str_seg = segment_file(report.slr.new_text, self.filename)
         if str_seg.has_midfile_declarations():
             raise _Fallback("midfile-declarations")
-        str_state = self._str.from_full(str_seg, str_t, str_result)
+        str_state = self._str.from_full(str_seg, report.str_)
         self._raw_text, self._raw_seg = raw, raw_seg
         self._pp_text, self._pp_seg = pp, pp_seg
         self._slr_state, self._str_state = slr_state, str_state
@@ -613,7 +648,8 @@ class IncrementalEngine:
                             previous.final_text, previous.parses,
                             list(previous.slr_outcomes),
                             list(previous.str_outcomes),
-                            previous.validation)
+                            previous.validation, previous.status,
+                            list(previous.diagnostics))
 
     def _validation_dirty(self, pp_seg: SegmentedFile,
                           slr_state: _StageState, str_state: _StageState,
@@ -662,13 +698,14 @@ class IncrementalEngine:
         preamble = seg.preamble.text
         if preamble and not preamble.endswith("\n"):
             raise _Fallback("preamble-not-line-terminated", permanent=True)
-        filename = self.filename
+        filename, headers = self.filename, self.headers
 
         def render_preamble():
             return tokens_to_text(
-                Preprocessor()._process_text(preamble, filename))
+                Preprocessor(headers)._process_text(preamble, filename))
 
-        base_key = content_key("func", "pp", "preamble", preamble)
+        base_key = content_key("func", "pp", "preamble", *self._header_key,
+                               preamble)
         base = _FUNC_CACHE.get_or_build(base_key, render_preamble)
         parts = [base]
         for tile in seg.segments[1:]:
@@ -677,12 +714,13 @@ class IncrementalEngine:
                 continue
 
             def render_fragment(fragment=tile.text):
-                full = tokens_to_text(Preprocessor()._process_text(
+                full = tokens_to_text(Preprocessor(headers)._process_text(
                     preamble + fragment, filename))
                 if not full.startswith(base):
                     raise _Fallback("pp-prefix-mismatch", permanent=True)
                 return full[len(base):]
 
-            key = content_key("func", "pp", "fragment", preamble, tile.text)
+            key = content_key("func", "pp", "fragment", *self._header_key,
+                              preamble, tile.text)
             parts.append(_FUNC_CACHE.get_or_build(key, render_fragment))
         return _squeeze_blank_lines("".join(parts))

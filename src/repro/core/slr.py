@@ -123,10 +123,6 @@ class SafeLibraryReplacement(Transformation):
         # inline ternary even when the length variable is read later.
         self.memcpy_option1 = memcpy_option1
         self._needed_decls: set[str] = set()
-        #: Which function requested which declarations — harvested by the
-        #: incremental engine so replayed components can reconstruct the
-        #: finalize block without re-running their sites.
-        self.decls_by_function: dict[str, set[str]] = {}
         self._site_function: str = ""
         #: Extra identifiers fresh names must avoid.  The incremental
         #: engine passes the identifier set of the *full* file here when

@@ -59,6 +59,7 @@ import warnings
 import zlib
 
 from ..cfront.cache import caches_enabled
+from ..envknobs import bool_knob
 from ..fingerprint import tool_fingerprint
 from . import faults
 
@@ -159,8 +160,7 @@ def remove_trees(paths) -> tuple[int, int]:
 def disk_enabled() -> bool:
     """Is the disk layer active?  ``REPRO_CACHE=0`` (all caching off)
     and ``REPRO_DISK_CACHE=0`` (disk layer only) both disable it."""
-    return caches_enabled() \
-        and os.environ.get("REPRO_DISK_CACHE", "1") != "0"
+    return caches_enabled() and bool_knob("REPRO_DISK_CACHE", True)
 
 
 class ArtifactStore:

@@ -169,15 +169,7 @@ class SafeTypeReplacement(Transformation):
                     detail=detail))
 
         self._rewrite()
-        final_mark = self.rewriter.checkpoint()
-        self.finalize()
-        finalize_edits = self.rewriter.edits_since(final_mark)
-        new_text = self.rewriter.apply() if self.rewriter.has_edits \
-            else self.text
-        from .transform import TransformResult, sort_outcomes
-        return TransformResult(self.name, self.text, new_text,
-                               sort_outcomes(self.outcomes),
-                               finalize_edits=finalize_edits)
+        return self._result()
 
     # ------------------------------------------------------------ use scan
 

@@ -52,10 +52,14 @@ class TransformResult:
     #: :meth:`repro.core.backends.FixBackend.run`; empty for results
     #: built outside the registry, e.g. direct ``apply_slr`` calls).
     backend: str = ""
-    #: Whole-file edits queued by :meth:`Transformation.finalize`
-    #: (support declarations) — the incremental engine tells them apart
-    #: from the per-site edits when it slices a run per function.
+    #: The ``(start, end, replacement)`` edits the sites queued, in
+    #: queue order, and the whole-file edits :meth:`Transformation.finalize`
+    #: queued after them (support declarations): the incremental engine
+    #: slices a run into per-function records from these.
+    site_edits: tuple = ()
     finalize_edits: tuple = ()
+    #: function -> the support declarations its sites asked for (SLR).
+    decls_by_function: dict[str, frozenset] = field(default_factory=dict)
 
     @property
     def changed(self) -> bool:
@@ -119,6 +123,9 @@ class Transformation:
         self.rewriter = Rewriter(text)
         self.source = SourceFile(filename, text)
         self.outcomes: list[SiteOutcome] = []
+        #: function -> support declarations its sites need (SLR's
+        #: finalize block is rebuilt from these).
+        self.decls_by_function: dict[str, set[str]] = {}
 
     # -------------------------------------------------- subclass interface
 
@@ -152,14 +159,20 @@ class Transformation:
                 self.rewriter.rollback(mark)
                 outcome = self._site_error_outcome(target, exc)
             self.outcomes.append(outcome)
-        final_mark = self.rewriter.checkpoint()
+        return self._result()
+
+    def _result(self) -> TransformResult:
+        """Run :meth:`finalize` after the sites and build the result."""
+        site_edits = self.rewriter.edits_since(0)
         self.finalize()
-        finalize_edits = self.rewriter.edits_since(final_mark)
         new_text = self.rewriter.apply() if self.rewriter.has_edits \
             else self.text
-        return TransformResult(self.name, self.text, new_text,
-                               sort_outcomes(self.outcomes),
-                               finalize_edits=finalize_edits)
+        return TransformResult(
+            self.name, self.text, new_text, sort_outcomes(self.outcomes),
+            site_edits=site_edits,
+            finalize_edits=self.rewriter.edits_since(len(site_edits)),
+            decls_by_function={name: frozenset(decls) for name, decls
+                               in self.decls_by_function.items()})
 
     def _site_error_outcome(self, target, exc: Exception) -> SiteOutcome:
         """A contained per-site failure as a reportable outcome."""

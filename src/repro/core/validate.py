@@ -42,7 +42,7 @@ from random import Random
 from ..cfront.cache import ContentCache, content_key
 from ..vm.interp import ExecutionResult, run_source
 from . import profile
-from .envknobs import int_knob
+from ..envknobs import int_knob
 
 VERDICT_IDENTICAL = "identical"
 VERDICT_PREVENTED = "overflow-prevented"

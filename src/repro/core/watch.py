@@ -6,8 +6,17 @@ saves (``debounce_s`` seconds of quiet before a change is processed),
 and pushes each settled edit through one warm
 :class:`repro.core.incremental.IncrementalEngine` per file — so an
 edit-to-verdict round trip touches only the functions the edit changed.
-Diagnostics stream one line per update (mode, wall time, invalidated
-functions, verdicts), or machine-readable JSON records with ``--json``.
+Diagnostics stream one line per update (mode, status, wall time,
+invalidated functions, verdicts), or machine-readable JSON records with
+``--json``.
+
+The loop watches the program ``repro batch`` reads
+(:func:`repro.core.batch.load_program`): the ``.h`` files beside the
+``.c`` files are its private headers.  Once a change to any of them has
+settled, the loop re-reads them and, if their texts changed, re-runs
+every ``.c`` file with a new engine.  Each file's first report, and
+every report after a header edit, is the report ``repro batch`` gives
+the file: same text, site outcomes, verdicts and status.
 
 The loop is deterministic and testable: the clock, the sleep function,
 and the output stream are injectable, and ``run(max_scans=N)`` /
@@ -22,17 +31,22 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .batch import program_files
+from .batch import header_dir, program_files, read_source, read_sources
+from .diagnostics import STATUS_FAILED, STATUS_OK
 from .incremental import IncrementalEngine, UpdateReport
 
 __all__ = ["WatchLoop"]
 
 
 @dataclass
-class _WatchedFile:
-    engine: IncrementalEngine
-    mtime: float | None = None          # last processed mtime
-    pending_mtime: float | None = None  # seen changed, not yet settled
+class _Watched:
+    """Debounce state of one watched ``.c`` file, or of the header set
+    (whose "mtime" is its ``(name, mtime)`` listing, and which has no
+    engine)."""
+
+    engine: IncrementalEngine | None = None
+    mtime: object = None                # last processed mtime
+    pending_mtime: object = None        # seen changed, not yet settled
     pending_since: float = 0.0
 
 
@@ -54,6 +68,8 @@ class WatchLoop:
     sleep: object = time.sleep
     out: object = None                  # None = sys.stdout
     files: dict = field(default_factory=dict, init=False)   # path -> state
+    headers: dict = field(default_factory=dict, init=False)  # name -> text
+    _header_state: _Watched = field(default_factory=_Watched, init=False)
 
     # ------------------------------------------------------- discovery
 
@@ -69,23 +85,67 @@ class WatchLoop:
             return []
         return [os.path.join(self.target, name) for name in names]
 
-    def _state(self, path: str) -> _WatchedFile:
+    def _engine(self, path: str) -> IncrementalEngine:
+        return IncrementalEngine(
+            os.path.basename(path), headers=self.headers,
+            profile=self.profile, validate=self.validate,
+            fuzz_seed=self.fuzz_seed)
+
+    def _state(self, path: str) -> _Watched:
         state = self.files.get(path)
         if state is None:
-            state = _WatchedFile(IncrementalEngine(
-                os.path.basename(path), profile=self.profile,
-                validate=self.validate, fuzz_seed=self.fuzz_seed))
+            state = _Watched(self._engine(path))
             self.files[path] = state
         return state
+
+    def _settled(self, state: _Watched, mtime, now: float,
+                 force: bool) -> bool:
+        """Is ``state``'s change to ``mtime`` due for processing: quiet
+        for the debounce period, or ``force``d?"""
+        if force:
+            return True
+        if mtime == state.mtime and state.pending_mtime is None:
+            return False
+        if mtime != state.pending_mtime:
+            # New change: start (or restart) the quiet period.
+            state.pending_mtime = mtime
+            state.pending_since = now
+            return False
+        return now - state.pending_since >= self.debounce_s
+
+    def _refresh_headers(self, now: float, force: bool) -> bool:
+        """Re-read the ``.h`` files once a change to them has settled;
+        returns whether their texts changed, which makes every engine
+        stale."""
+        directory = header_dir(self.target)
+        try:
+            listing = tuple(
+                (name, os.stat(os.path.join(directory, name)).st_mtime)
+                for name in program_files(directory, ".h"))
+            if not self._settled(self._header_state, listing, now, force):
+                return False
+            headers = read_sources(directory, ".h")
+        except (OSError, UnicodeDecodeError):
+            # Raced a save, or a header is not UTF-8: keep the headers
+            # read last, and retry on the next poll.
+            return False
+        self._header_state.mtime = listing
+        self._header_state.pending_mtime = None
+        if headers == self.headers:
+            return False
+        self.headers = headers
+        return True
 
     # ------------------------------------------------------------ scan
 
     def scan_once(self, *, force: bool = False) -> list[UpdateReport]:
         """One poll: process every watched file whose mtime changed and
-        has been quiet for the debounce period.  ``force`` processes
-        everything immediately (startup / ``--once``)."""
+        has been quiet for the debounce period, and every file when the
+        headers' texts changed.  ``force`` processes everything
+        immediately (startup / ``--once``)."""
         reports = []
         now = self.clock()
+        headers_changed = self._refresh_headers(now, force)
         paths = self.watched_paths()
         # Directory watch: a file deleted between polls silently drops
         # out of the rescan — sweep its state (and emit its removal
@@ -97,6 +157,8 @@ class WatchLoop:
                 reports.append(removed)
         for path in paths:
             state = self._state(path)
+            if headers_changed:
+                state.engine = self._engine(path)
             try:
                 mtime = os.stat(path).st_mtime
             except OSError:
@@ -104,19 +166,12 @@ class WatchLoop:
                 if removed is not None:
                     reports.append(removed)
                 continue
-            if not force:
-                if mtime == state.mtime and state.pending_mtime is None:
-                    continue
-                if mtime != state.pending_mtime:
-                    # New change: start (or restart) the quiet period.
-                    state.pending_mtime = mtime
-                    state.pending_since = now
-                    continue
-                if now - state.pending_since < self.debounce_s:
-                    continue
+            if not (headers_changed
+                    or self._settled(state, mtime, now, force)):
+                continue
+            t0 = time.perf_counter()
             try:
-                with open(path, encoding="utf-8", errors="replace") as fh:
-                    text = fh.read()
+                text = read_source(path)
             except OSError:
                 # Deleted (or made unreadable) between the debounce
                 # settling and the read — same removal handling as a
@@ -125,25 +180,32 @@ class WatchLoop:
                 if removed is not None:
                     reports.append(removed)
                 continue
-            t0 = time.perf_counter()
-            try:
-                report = state.engine.update(text)
-            except Exception as exc:
-                # A file the pipeline cannot process at all (lex errors,
-                # binary garbage) must not kill the loop — emit an error
-                # record and keep watching everything else.
-                report = UpdateReport(
-                    os.path.basename(path), "error", repr(exc),
-                    final_text=text, parses=False,
-                    wall_s=time.perf_counter() - t0)
+            except UnicodeDecodeError as exc:   # not UTF-8, as in a batch
+                report = self._error(path, exc, "", t0)
+            else:
+                try:
+                    report = state.engine.update(text)
+                except Exception as exc:
+                    # Whatever the engine did not contain must not kill
+                    # the loop: emit an error record and keep watching
+                    # everything else.
+                    report = self._error(path, exc, text, t0)
             state.mtime = mtime
             state.pending_mtime = None
             self._emit(path, report)
             reports.append(report)
         return reports
 
+    @staticmethod
+    def _error(path: str, exc: Exception, text: str,
+               t0: float) -> UpdateReport:
+        return UpdateReport(os.path.basename(path), "error", repr(exc),
+                            final_text=text, parses=False,
+                            status=STATUS_FAILED,
+                            wall_s=time.perf_counter() - t0)
+
     def _handle_removed(self, path: str,
-                        state: _WatchedFile) -> UpdateReport | None:
+                        state: _Watched) -> UpdateReport | None:
         """A watched file vanished (deleted between polls, or between
         the debounce settling and the re-read).  Treat it as a removal:
         drop its engine state so a recreated file starts a fresh
@@ -187,6 +249,9 @@ class WatchLoop:
         parts = [f"[watch] {path}", report.mode, f"{wall_ms:.0f}ms"]
         if report.reason:
             parts.append(f"({report.reason})")
+        if report.status != STATUS_OK:
+            parts.append(report.status + "".join(
+                f" {d.stage}:{d.kind}" for d in report.diagnostics))
         if report.invalidated:
             parts.append("invalidated=" + ",".join(sorted(report.invalidated)))
         if report.mode not in ("no-op", "removed"):

@@ -86,6 +86,28 @@ class TestFixCommand:
         assert "g_strlcpy" not in out
         assert "SLR" not in err or "[FIXED] SLR" not in err
 
+    def test_prints_what_batch_writes(self, broken_c, tmp_path):
+        code, out, _ = run_cli(["fix", broken_c])
+        assert code == 0
+        code, _, _ = run_cli(["batch", broken_c, "--no-disk-cache",
+                              "-o", tmp_path / "out"])
+        assert code == 0
+        assert out == (tmp_path / "out" / "broken.c").read_text() + "\n"
+
+    def test_contained_stage_failure_is_one_line(self, broken_c,
+                                                 monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "slr:exception:1.0")
+        code, out, err = run_cli(["fix", broken_c])
+        assert code == 0
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert lines[0] == ("[degraded] slr InjectedFault: injected slr "
+                            "fault for broken.c")
+        assert not any(line.startswith("[FIXED] SLR") for line in lines)
+        assert any(line.startswith("[FIXED] STR") for line in lines)
+        assert lines[-1].endswith(" sites transformed")
+        assert "g_strlcpy" not in out and "stralloc" in out
+
 
 class TestAnalyzeCommand:
     def test_analyze_output(self, broken_c):
@@ -155,6 +177,22 @@ class TestPrivateHeaders:
         assert err.splitlines() == [
             f"error: {path}:0:0: header not found: 'nowhere.h'"]
         assert out == ""
+
+
+class TestUnreadablePath:
+    @pytest.mark.parametrize("command", ["batch", "validate", "fix",
+                                         "run", "analyze"])
+    def test_missing_path_exits_2(self, tmp_path, command):
+        path = tmp_path / "nope.c"
+        code, out, err = run_cli([command, path])
+        assert code == 2
+        assert err.splitlines() == [
+            f"cannot read {path}: No such file or directory"]
+
+    def test_directory_without_c_files_exits_2(self, tmp_path):
+        code, _, err = run_cli(["batch", tmp_path])
+        assert code == 2
+        assert err.splitlines() == [f"no .c files in {tmp_path}"]
 
 
 class TestParser:

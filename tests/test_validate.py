@@ -282,7 +282,6 @@ def oracle_pairs():
     programs, ``examples/c``, 40 synth files and an 80-program SAMATE
     sample, with each side's ``read_stdin`` taken from running every
     probe through ``run_source``."""
-    from repro.cli import _load_program
     from repro.core import batch
     from repro.corpus import build_all, build_synth
     from repro.eval.samate_runner import sample_program
@@ -296,7 +295,7 @@ def oracle_pairs():
                          kwargs["inputs"]))
         return real(original, transformed, **kwargs)
 
-    programs = [*build_all().values(), _load_program(EXAMPLES)[0],
+    programs = [*build_all().values(), batch.load_program(EXAMPLES),
                 build_synth(40, 11), sample_program(0.05, 80)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(batch, "validate_pair", record)

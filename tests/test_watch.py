@@ -104,7 +104,7 @@ def test_directory_watch_picks_up_new_files(tmp_path):
 
 
 def test_directory_watch_lists_the_files_batch_reads(tmp_path):
-    from repro.cli import _load_program
+    from repro.core.batch import load_program
     (tmp_path / "a.c").write_text(SRC)
     (tmp_path / "b.c").write_text(SRC)
     (tmp_path / "notes.h").write_text("int notes;\n")
@@ -113,7 +113,7 @@ def test_directory_watch_lists_the_files_batch_reads(tmp_path):
     (tmp_path / "sub" / "nested.c").write_text(SRC)
     loop = WatchLoop(str(tmp_path), validate=False, clock=FakeClock(),
                      sleep=lambda s: None, out=io.StringIO())
-    program, _error = _load_program(str(tmp_path))
+    program = load_program(str(tmp_path))
     watched = [os.path.basename(p) for p in loop.watched_paths()]
     assert watched == sorted(program.files) == ["a.c", "b.c"]
     assert len(loop.scan_once(force=True)) == 2
@@ -131,6 +131,19 @@ def test_unprocessable_file_is_contained(tmp_path):
     assert modes["good.c"] == "full"
     assert "LexError" in next(r.reason for r in reports
                               if r.mode == "error")
+
+
+def test_non_utf8_file_is_an_error_record(tmp_path):
+    (tmp_path / "good.c").write_text(SRC)
+    (tmp_path / "latin.c").write_bytes(
+        b"/* caf\xe9 */\nint main(void) { return 0; }\n")
+    loop = WatchLoop(str(tmp_path), validate=False, clock=FakeClock(),
+                     sleep=lambda s: None, out=io.StringIO())
+    reports = {r.filename: r for r in loop.scan_once(force=True)}
+    assert reports["latin.c"].mode == "error"
+    assert reports["latin.c"].status == "failed"
+    assert "UnicodeDecodeError" in reports["latin.c"].reason
+    assert reports["good.c"].mode == "full"
 
 
 def test_json_output_streams_records(tmp_path):
