@@ -15,7 +15,7 @@ clean, self-contained C text that the parser and rewriter operate on.
 from __future__ import annotations
 
 from .lexer import splice_lines, tokenize
-from .source import PreprocessorError, SourceFile
+from .source import UNDECODABLE, PreprocessorError, SourceFile
 from .tokens import (
     CHAR_CONST, EOF, HASH, ID, INDENT, KEYWORD, NEWLINE, NUMBER, PUNCT,
     STRING, Token, tokens_to_text,
@@ -112,6 +112,7 @@ class Preprocessor:
         # share: expansion only ever mutates clones, never source tokens.
         tokens = _TOKEN_CACHE.get(text) if cache_tokens else None
         if tokens is None:
+            _check_decodable(text, name)
             spliced = splice_lines(text)
             source = SourceFile(name, spliced)
             from .lexer import Lexer
@@ -452,6 +453,17 @@ class Preprocessor:
 
 
 # ---------------------------------------------------------------- helpers
+
+def _check_decodable(text: str, name: str) -> None:
+    """Reject a text (a file or a header it includes) that holds a byte
+    that is not UTF-8, naming the file, line and byte."""
+    found = UNDECODABLE.search(text)
+    if found is not None:
+        at = found.start()
+        raise PreprocessorError(
+            f"byte 0x{ord(found.group()) - 0xDC00:02x} is not UTF-8", name,
+            text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
 
 def _collect_line(tokens: list[Token], i: int) -> tuple[list[Token], int]:
     """Collect tokens up to (excluding) the next NEWLINE; skip the newline."""

@@ -10,6 +10,11 @@ faithful text edits.
 from __future__ import annotations
 
 import bisect
+import re
+
+#: A byte that is not UTF-8, as :func:`repro.core.batch.read_source`
+#: reads one: ``errors="surrogateescape"`` maps it to a lone surrogate.
+UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 class SourceError(Exception):

@@ -260,7 +260,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         os.makedirs(args.output, exist_ok=True)
         for report in batch.reports:
             out_path = os.path.join(args.output, report.filename)
-            with open(out_path, "w", encoding="utf-8") as handle:
+            with open(out_path, "w", encoding="utf-8",
+                      errors="surrogateescape") as handle:
                 handle.write(report.final_text)
         print(f"wrote {len(batch.reports)} files to {args.output}",
               file=sys.stderr)

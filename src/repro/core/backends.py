@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cfront.cache import ContentCache, content_key
+from . import faults, profile
+from .diagnostics import diagnostic_from_exception
 from .session import AnalysisSession, get_session
 from .transform import TransformResult, Transformation
 from .validate import (
@@ -43,9 +45,9 @@ from .validate import (
     ValidationReport, default_inputs, validate_pair,
 )
 
-#: Salt for candidate artifacts: bumped when the arbitration contract
-#: (scoring, statuses, candidate shape) changes in a way the tool
-#: fingerprint alone would not capture.
+#: Salt for arbitrated reports' work keys: bumped when the arbitration
+#: contract (scoring, statuses, candidate shape) changes in a way the
+#: tool fingerprint alone would not capture.
 ARBITRATION_VERSION = "arb2"
 
 #: The legacy pipeline's backend chain — ``apply_batch`` without a
@@ -105,13 +107,16 @@ class SLRBackend(FixBackend):
                    "with truncating g_strl* alternatives sized by "
                    "Algorithm 1")
 
+    def __init__(self, profile: str = "glib"):
+        self.profile = profile                  # "glib" or "c11"
+
     def build(self, text, filename, session):
         from .slr import SafeLibraryReplacement
-        return SafeLibraryReplacement(text, filename, profile="glib",
+        return SafeLibraryReplacement(text, filename, profile=self.profile,
                                       session=session)
 
     def config_key(self) -> str:
-        return "profile=glib"
+        return f"profile={self.profile}"
 
 
 class STRBackend(FixBackend):
@@ -218,28 +223,45 @@ for _backend in (SLRBackend(), STRBackend(), S3LibBackend()):
 
 # ------------------------------------------------------- cached execution
 
-#: Whole candidate transform results, persisted like the slr/str caches
-#: but shared by every backend: keys are salted with the backend id,
-#: the backend's config, and the arbitration version, so candidates
-#: from different backends (or different knob settings) can never
-#: collide in the store.
+#: Whole transform results of every backend, persisted.  The key is
+#: (backend id, config, text): backends and settings never collide, and
+#: the SLR→STR chain, arbitration and Table III share every entry.
 _BACKEND_CACHE = ContentCache("backend", family="backend")
 
 
 def backend_cache_key(backend: FixBackend, text: str) -> str:
-    return content_key("backend", ARBITRATION_VERSION, backend.id,
-                       backend.config_key(), text)
+    return content_key("backend", backend.id, backend.config_key(), text)
 
 
-def cached_backend_run(backend_id: str, text: str, filename: str,
+def cached_backend_run(backend: FixBackend, text: str, filename: str,
                        session: AnalysisSession | None = None
                        ) -> TransformResult:
-    """Run (or replay) one backend over ``text``; results are shared and
+    """Run (or replay) ``backend`` over ``text``; results are shared and
     must be treated as immutable."""
-    backend = get_backend(backend_id)
     return _BACKEND_CACHE.get_or_build(
         backend_cache_key(backend, text),
         lambda: backend.run(text, filename, session))
+
+
+def guarded_backend_run(backend: FixBackend, text: str, filename: str,
+                        session: AnalysisSession | None = None,
+                        diagnostics: list | None = None
+                        ) -> tuple[TransformResult | None,
+                                   Exception | None]:
+    """:func:`cached_backend_run` inside the stage guard of every fix
+    step: the ``backend.id`` profile stage and fault point, and
+    containment.  Returns ``(result, None)``, or ``(None, exc)`` with a
+    diagnostic for ``exc`` appended to ``diagnostics`` (when given)."""
+    with profile.stage(backend.id):
+        try:
+            faults.check(backend.id, filename)
+            return cached_backend_run(backend, text, filename,
+                                      session), None
+        except Exception as exc:
+            if diagnostics is not None:
+                diagnostics.append(diagnostic_from_exception(
+                    backend.id, filename, exc))
+            return None, exc
 
 
 # ------------------------------------------------------------ arbitration
@@ -390,26 +412,17 @@ def arbitrate_file(text: str, filename: str,
     the remaining backends — the next-best candidate wins.  Injected
     whole-process faults (``BaseException`` subclasses) still propagate.
     """
-    from . import faults, profile
-    from .diagnostics import diagnostic_from_exception
-
     session = session if session is not None else get_session()
     inputs = default_inputs(filename, seed=fuzz_seed)
     report = ArbitrationReport(filename, tuple(backends))
     for backend_id in backends:
-        with profile.stage(backend_id):
-            try:
-                faults.check(backend_id, filename)
-                result = cached_backend_run(backend_id, text, filename,
-                                            session)
-            except Exception as exc:
-                report.candidates.append(BackendCandidate(
-                    backend_id, None, status=CANDIDATE_ERROR,
-                    reason=f"{type(exc).__name__}: {exc}"))
-                if diagnostics is not None:
-                    diagnostics.append(diagnostic_from_exception(
-                        backend_id, filename, exc))
-                continue
+        result, error = guarded_backend_run(
+            get_backend(backend_id), text, filename, session, diagnostics)
+        if error is not None:
+            report.candidates.append(BackendCandidate(
+                backend_id, None, status=CANDIDATE_ERROR,
+                reason=f"{type(error).__name__}: {error}"))
+            continue
         candidate = BackendCandidate(backend_id, result)
         if result.candidates == 0:
             candidate.status = CANDIDATE_NOT_APPLICABLE

@@ -50,7 +50,7 @@ import pickle
 import time
 from dataclasses import dataclass, field
 
-from ..cfront.cache import ContentCache, content_key
+from ..cfront.cache import content_key
 from ..cfront.source import count_source_lines
 from . import faults, profile
 from .diagnostics import (
@@ -59,13 +59,12 @@ from .diagnostics import (
     diagnostic_from_exception, status_of, supervisor_diagnostic,
 )
 from .backends import (
-    ARBITRATION_VERSION, CANDIDATE_ERROR, ArbitrationReport,
-    arbitrate_file, resolve_backends, scoreboard,
+    ARBITRATION_VERSION, CANDIDATE_ERROR, ArbitrationReport, SLRBackend,
+    STRBackend, arbitrate_file, guarded_backend_run, resolve_backends,
+    scoreboard,
 )
 from ..envknobs import float_knob, int_knob
 from .session import AnalysisSession, get_session
-from .slr import SafeLibraryReplacement
-from .strtransform import SafeTypeReplacement
 from .transform import TransformResult
 from .validate import ValidationReport, default_inputs, file_seed, \
     oracle_mem_limit, oracle_step_limit, validate_pair
@@ -122,8 +121,12 @@ def program_files(directory: str, suffix: str) -> list[str]:
 
 
 def read_source(path: str) -> str:
-    """The text of one ``.c`` or ``.h`` file, as every command reads it."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """The text of one ``.c`` or ``.h`` file, as every command reads it.
+    A byte that is not UTF-8 reads as a lone surrogate, which the
+    preprocessor rejects and ``batch -o`` writes back as the same
+    byte."""
+    with open(path, "r", encoding="utf-8",
+              errors="surrogateescape") as handle:
         return handle.read()
 
 
@@ -213,7 +216,9 @@ def load_program(path: str) -> SourceProgram:
 
 @dataclass(frozen=True)
 class FileTask:
-    """One file's transformation work order (picklable for the pool)."""
+    """One file's transformation work order (picklable for the pool).
+    An executor task is any such object with a ``filename`` (its retry
+    backoff's subject), :meth:`run` and :meth:`failed`."""
 
     filename: str
     text: str                                   # preprocessed text
@@ -226,6 +231,19 @@ class FileTask:
     #: replaced by :func:`repro.core.backends.arbitrate_file` over this
     #: backend id tuple (the oracle always judges in this mode).
     backends: tuple[str, ...] | None = None
+
+    def run(self) -> "FileTransformReport":
+        return transform_file(self)
+
+    def failed(self, kind: str, message: str, *,
+               retries: int = 0) -> "FileTransformReport":
+        """What a supervisor records when the worker died or timed out
+        for good: the input verbatim, one ``worker``-stage diagnostic."""
+        return FileTransformReport(
+            self.filename, None, None, self.text, True, 0.0, None, {},
+            status=STATUS_FAILED,
+            diagnostics=[supervisor_diagnostic(self.filename, kind, message,
+                                               retries=retries)])
 
 
 @dataclass
@@ -258,32 +276,6 @@ class FileTransformReport:
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK
-
-
-#: Whole-stage transform results, persisted across runs: an SLR/STR pass
-#: is a pure function of (input text, profile, tool version), so a warm
-#: process skips parsing *and* transforming texts any run has seen.
-_SLR_CACHE = ContentCache("slr", family="slr")
-_STR_CACHE = ContentCache("str", family="str")
-
-
-def cached_slr(text: str, filename: str, profile_name: str = "glib",
-               session: AnalysisSession | None = None) -> TransformResult:
-    """Run (or replay) SLR over ``text``; results must be treated as
-    immutable — the same object serves every caller."""
-    key = content_key("slr", profile_name, text)
-    return _SLR_CACHE.get_or_build(
-        key, lambda: SafeLibraryReplacement(
-            text, filename, profile=profile_name, session=session).run())
-
-
-def cached_str(text: str, filename: str,
-               session: AnalysisSession | None = None) -> TransformResult:
-    """Run (or replay) STR over ``text``."""
-    key = content_key("str", text)
-    return _STR_CACHE.get_or_build(
-        key, lambda: SafeTypeReplacement(
-            text, filename, session=session).run())
 
 
 #: Artifact-store family of whole clean reports, keyed by the task's
@@ -401,29 +393,22 @@ def transform_file(task: FileTask,
 
 def _run_stages(task: FileTask, session: AnalysisSession,
                 diagnostics: list[FileDiagnostic]):
-    """The guarded SLR → STR → verify → validate chain for one file."""
+    """The guarded SLR → STR → verify → validate chain for one file;
+    SLR and STR share arbitration's guarded, cached backend run."""
     text = task.text
     slr_result: TransformResult | None = None
     str_result: TransformResult | None = None
     if task.run_slr:
-        with profile.stage("slr"):
-            try:
-                faults.check("slr", task.filename)
-                slr_result = cached_slr(text, task.filename,
-                                        task.profile, session)
-                text = slr_result.new_text
-            except Exception as exc:
-                diagnostics.append(diagnostic_from_exception(
-                    "slr", task.filename, exc))
+        slr_result, _error = guarded_backend_run(
+            SLRBackend(task.profile), text, task.filename, session,
+            diagnostics)
+        if slr_result is not None:
+            text = slr_result.new_text
     if task.run_str:
-        with profile.stage("str"):
-            try:
-                faults.check("str", task.filename)
-                str_result = cached_str(text, task.filename, session)
-                text = str_result.new_text
-            except Exception as exc:
-                diagnostics.append(diagnostic_from_exception(
-                    "str", task.filename, exc))
+        str_result, _error = guarded_backend_run(
+            STRBackend(), text, task.filename, session, diagnostics)
+        if str_result is not None:
+            text = str_result.new_text
     changed = text != task.text
     with profile.stage("verify"):
         try:
@@ -463,9 +448,9 @@ def _empty_supervision() -> dict[str, int]:
 
 
 class SerialExecutor:
-    """Run every task in the calling process, in task order.  A
-    finished :class:`FileTransformReport` among the tasks passes
-    through in its place."""
+    """Run every task (see :class:`FileTask`) in the calling process, in
+    task order.  A finished :class:`FileTransformReport` among the tasks
+    passes through in its place."""
 
     jobs = 1
     spawned = 0
@@ -475,18 +460,18 @@ class SerialExecutor:
         self.max_inflight = 0
 
     def imap(self, tasks, *, window: int | None = None):
-        """Stream ``(index, report)`` pairs in task order; the task
+        """Stream ``(index, result)`` pairs in task order; the task
         source is consumed one item at a time, so parent memory never
-        holds more than the in-flight file."""
+        holds more than the in-flight task."""
         for index, task in enumerate(tasks):
             self.max_inflight = max(self.max_inflight, 1)
             yield index, task if isinstance(task, FileTransformReport) \
-                else transform_file(task)
+                else task.run()
 
 
 def _pool_worker(inbox, result_queue, lifeline) -> None:
     """Supervised-pool worker loop: pull tasks from this worker's own
-    inbox, ship each report back pre-pickled, and leave when the
+    inbox, ship each result back pre-pickled, and leave when the
     scheduler closes the lifeline.
 
     Two protocol choices keep supervision race-free.  The parent assigns
@@ -520,40 +505,30 @@ def _pool_worker(inbox, result_queue, lifeline) -> None:
         except (EOFError, OSError):
             os._exit(0)                     # inbox torn down under us
         try:
-            report = transform_file(task)
+            result = task.run()
         except BaseException as exc:    # last-ditch: never lose a task
-            report = _supervisor_report(task, KIND_WORKER_DIED,
-                                        f"worker raised "
-                                        f"{type(exc).__name__}: {exc}")
+            result = task.failed(KIND_WORKER_DIED,
+                                 f"worker raised "
+                                 f"{type(exc).__name__}: {exc}")
         try:
-            payload = pickle.dumps(report,
+            payload = pickle.dumps(result,
                                    protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
-            payload = pickle.dumps(_supervisor_report(
-                task, KIND_WORKER_DIED,
-                f"report not picklable: {type(exc).__name__}: {exc}"))
+            payload = pickle.dumps(task.failed(
+                KIND_WORKER_DIED,
+                f"result not picklable: {type(exc).__name__}: {exc}"))
         result_queue.put((index, payload))
 
 
-def _supervisor_report(task: FileTask, kind: str, message: str, *,
-                       retries: int = 0) -> FileTransformReport:
-    """The failed report for a task whose worker died or timed out:
-    input shipped verbatim, one ``worker``-stage diagnostic."""
-    return FileTransformReport(
-        task.filename, None, None, task.text, True, 0.0, None, {},
-        status=STATUS_FAILED,
-        diagnostics=[supervisor_diagnostic(task.filename, kind, message,
-                                           retries=retries)])
-
-
 class ProcessPoolExecutor:
-    """Fan tasks out over a *supervised* ``multiprocessing`` fork pool.
+    """Fan tasks (see :class:`FileTask`) out over a *supervised*
+    ``multiprocessing`` fork pool: the batch's files, and Table III's
+    chunks of SAMATE programs.
 
     Workers are forked, so they inherit the parent's warmed default
     session (copy-on-write) — a pre-warmed cache benefits every worker.
     Result order matches task order, making parallel output
-    byte-identical to serial.  Falls back to serial execution where the
-    fork start method is unavailable.
+    byte-identical to serial.
 
     Supervision, on top of the plain pool the pipeline used to run:
 
@@ -564,8 +539,8 @@ class ProcessPoolExecutor:
       replaced, and its task is not lost;
     * **bounded retry** — a crashed/timed-out task is re-queued up to
       ``REPRO_TASK_RETRIES`` times (short backoff between attempts)
-      before it is recorded as a ``failed`` report with a ``worker``
-      diagnostic.
+      before the task's :meth:`~FileTask.failed` result is recorded
+      (for a file, a ``failed`` report with a ``worker`` diagnostic).
 
     Results stay deterministic: they are keyed by task index, so retries
     and respawns reorder nothing.
@@ -587,9 +562,9 @@ class ProcessPoolExecutor:
         self._deaths_to_respawn = 0
 
     def imap(self, tasks, *, window: int | None = None):
-        """Stream ``(index, report)`` pairs back in task order as they
+        """Stream ``(index, result)`` pairs back in task order as they
         complete, pulling from ``tasks`` (any iterable) no more than
-        ``window`` files ahead of emission.  A finished
+        ``window`` tasks ahead of emission.  A finished
         :class:`FileTransformReport` among the tasks needs no worker: it
         takes its place in the window as a completed result.
 
@@ -602,23 +577,11 @@ class ProcessPoolExecutor:
         at any worker count, through every watchdog kill, dead-worker
         respawn and retry.
         """
+        import multiprocessing as mp
         if window is None:
             window = stream_window(self.jobs)
-        ctx = self._fork_context() if self.jobs > 1 else None
-        if ctx is None:
-            serial = SerialExecutor()
-            yield from serial.imap(tasks)
-            self.max_inflight = serial.max_inflight
-            return
-        yield from self._stream(ctx, iter(tasks), window=max(1, window))
-
-    @staticmethod
-    def _fork_context():
-        import multiprocessing as mp
-        try:
-            return mp.get_context("fork")
-        except ValueError:
-            return None
+        yield from self._stream(mp.get_context("fork"), iter(tasks),
+                                window=max(1, window))
 
     # ------------------------------------------------------- supervision
 
@@ -636,7 +599,7 @@ class ProcessPoolExecutor:
             self.task_index: int | None = None
             self.started_at = 0.0
 
-        def assign(self, index: int, task: FileTask) -> None:
+        def assign(self, index: int, task) -> None:
             self.task_index = index
             self.started_at = time.monotonic()
             self.inbox.put((index, task))
@@ -670,8 +633,8 @@ class ProcessPoolExecutor:
         lifeline, lifeline_w = ctx.Pipe(duplex=False)
         register_after_fork(lifeline_w, type(lifeline_w).close)
         workers: list[ProcessPoolExecutor._Worker] = []
-        held: dict[int, FileTask] = {}
-        ready: dict[int, FileTransformReport] = {}
+        held: dict[int, object] = {}            # index -> task
+        ready: dict[int, object] = {}           # index -> result
         attempts: dict[int, int] = {}
         pending: list[int] = []
         retry_at: list[tuple[float, int]] = []    # (eligible time, index)
@@ -835,8 +798,8 @@ class ProcessPoolExecutor:
                                              held[index].filename),
                              index))
         else:
-            ready[index] = _supervisor_report(
-                held[index], kind, message, retries=attempts[index] - 1)
+            ready[index] = held[index].failed(
+                kind, message, retries=attempts[index] - 1)
 
 
 #: Retry backoff bounds for the supervised pool: first retry waits
@@ -1088,7 +1051,7 @@ class BatchStream:
     holds O(window) reports on every path, a resume included;
     ``executor.max_inflight`` records the high-water mark.  Every file
     is computed under its own name: files with identical text share
-    only the content-keyed preprocess, SLR, STR and verify caches.  The
+    only the content-keyed preprocess, backend and verify caches.  The
     parent's preprocess seconds land on the ``stage_times`` of every
     report the stream makes or replays from the store; a replayed report
     otherwise keeps the times it was recorded with.

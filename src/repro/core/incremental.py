@@ -61,6 +61,7 @@ from ..cfront.funcdiff import (SegmentedFile, UnsupportedLayout, components,
                                segment_file)
 from ..cfront.preprocessor import Preprocessor, _squeeze_blank_lines
 from ..cfront.rewriter import Rewriter
+from ..cfront.source import UNDECODABLE
 from ..cfront.tokens import tokens_to_text
 from . import faults
 from .batch import FileTask, transform_file
@@ -594,6 +595,10 @@ class IncrementalEngine:
             return self._no_op("identical-input")
         if _POSITION_MACROS.search(text):
             raise _Fallback("position-dependent-macro", permanent=True)
+        if UNDECODABLE.search(text):
+            # A comment edit is a token-level no-op; the full path
+            # rejects the byte wherever it sits.
+            raise _Fallback("not-utf-8")
         new_raw = patch_segment(self._raw_seg, text) \
             or segment_file(text, self.filename)
         diff = diff_files(self._raw_seg, new_raw)

@@ -2,10 +2,10 @@
 
 The in-memory LRUs in :mod:`repro.cfront.cache` die with the process and
 are never shared between fork-pool workers or successive CLI runs, yet
-everything the pipeline computes — preprocess outputs, SLR/STR and
-backend transform outputs, verify verdicts, differential-oracle verdicts
-and VM execution results — is a pure function of (input content, tool
-version).  This module persists on disk the artifacts that a later run
+everything the pipeline computes — preprocess outputs, every fix
+backend's transform outputs (SLR and STR among them), verify verdicts,
+differential-oracle verdicts and VM execution results — is a pure
+function of (input content, tool version).  This module persists on disk the artifacts that a later run
 reads, so that every process that ever sees the same content gets them
 for one ``open`` + ``unpickle``.  Parsed ASTs and the oracle's probe
 runs are not among them: they stay in memory, and a later run reads the
@@ -70,6 +70,9 @@ SCHEMA_VERSION = 1
 
 #: Artifact families the pipeline persists.  ``verify`` holds one
 #: marker per text known to parse (failures are never stored).
+#: ``backend`` holds every fix backend's whole transform result, keyed
+#: on (backend id, backend config, text): the batch's SLR→STR chain,
+#: arbitration's candidates and Table III's SLR/STR steps all share it.
 #: ``execute`` holds Table III's before/after VM runs only; the
 #: differential oracle keeps its probe runs in memory and persists the
 #: pair's verdict under ``validate``.
@@ -86,8 +89,8 @@ SCHEMA_VERSION = 1
 #: families still serve every file whose work key misses it: a renamed
 #: file, changed settings, arbitration's candidates, the incremental
 #: engine and Table III.
-FAMILIES = ("preprocess", "verify", "slr", "str", "backend", "validate",
-            "execute", "func", "quarantine", "report")
+FAMILIES = ("preprocess", "verify", "backend", "validate", "execute",
+            "func", "quarantine", "report")
 
 #: Abandoned temp files older than this are garbage (a crashed writer);
 #: live writers hold a temp file for milliseconds.

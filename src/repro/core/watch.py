@@ -125,9 +125,9 @@ class WatchLoop:
             if not self._settled(self._header_state, listing, now, force):
                 return False
             headers = read_sources(directory, ".h")
-        except (OSError, UnicodeDecodeError):
-            # Raced a save, or a header is not UTF-8: keep the headers
-            # read last, and retry on the next poll.
+        except OSError:
+            # Raced a save: keep the headers read last, and retry on
+            # the next poll.
             return False
         self._header_state.mtime = listing
         self._header_state.pending_mtime = None
@@ -180,16 +180,13 @@ class WatchLoop:
                 if removed is not None:
                     reports.append(removed)
                 continue
-            except UnicodeDecodeError as exc:   # not UTF-8, as in a batch
-                report = self._error(path, exc, "", t0)
-            else:
-                try:
-                    report = state.engine.update(text)
-                except Exception as exc:
-                    # Whatever the engine did not contain must not kill
-                    # the loop: emit an error record and keep watching
-                    # everything else.
-                    report = self._error(path, exc, text, t0)
+            try:
+                report = state.engine.update(text)
+            except Exception as exc:
+                # Whatever the engine did not contain must not kill the
+                # loop: emit an error record and keep watching
+                # everything else.
+                report = self._error(path, exc, text, t0)
             state.mtime = mtime
             state.pending_mtime = None
             self._emit(path, report)

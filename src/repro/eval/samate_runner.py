@@ -10,13 +10,14 @@ Everything flows through the shared
 :class:`~repro.core.session.AnalysisSession`: the preprocessed text is
 parsed once and that unit is shared by SLR, STR's input (when SLR queued
 no edits), and the "before" execution; the transformed text's unit is
-shared by the verify and the "after" execution.  Transform results and
-the before/after VM runs additionally go through the persistent artifact
-store (:mod:`repro.core.store`; the runs are the ``execute`` family's
-only entries), so re-running the suite — in another worker or another
-process — replays them from disk.  :func:`run_samate_suite`
-fans whole programs out over a fork pool (``jobs=N``) with
-deterministic, input-ordered results.
+shared by the verify and the "after" execution.  Transform results (the
+backend registry's cache, which the batch shares) and the before/after
+VM runs additionally go through the persistent artifact store
+(:mod:`repro.core.store`; the runs are the ``execute`` family's only
+entries), so re-running the suite — in another worker or another
+process — replays them from disk.  :func:`run_samate_suite` hands
+chunks of programs to the batch's executor (``jobs=N``: the supervised
+fork pool), with deterministic, input-ordered results.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import profile
-from ..core.backends import ArbitrationReport, arbitrate_file
-from ..core.batch import SourceProgram, cached_slr, cached_str
+from ..core.backends import ArbitrationReport, SLRBackend, STRBackend, \
+    arbitrate_file, cached_backend_run
+from ..core.batch import SourceProgram, default_jobs, make_executor
 from ..core.session import AnalysisSession, get_session
 from ..core.validate import ValidationReport, cached_run_source, \
     validate_pair
@@ -88,14 +90,14 @@ def run_samate_program(program: TestProgram, *, execute: bool = True,
     else:
         if program.slr_applicable:
             with profile.stage("slr"):
-                slr_result = cached_slr(text, program.name,
-                                        session=session)
+                slr_result = cached_backend_run(
+                    SLRBackend(), text, program.name, session)
             slr_applied = slr_result.transformed_count > 0
             text = slr_result.new_text
         if program.str_applicable:
             with profile.stage("str"):
-                str_result = cached_str(text, program.name,
-                                        session=session)
+                str_result = cached_backend_run(
+                    STRBackend(), text, program.name, session)
             str_applied = str_result.transformed_count > 0
             text = str_result.new_text
 
@@ -129,17 +131,30 @@ def run_samate_program(program: TestProgram, *, execute: bool = True,
 
 
 @dataclass(frozen=True)
-class _SuiteTask:
-    program: TestProgram
-    execute: bool
+class SuiteChunk:
+    """Consecutive SAMATE programs: one executor task (see
+    :class:`~repro.core.batch.FileTask`)."""
+
+    programs: tuple[TestProgram, ...]
+    execute: tuple[bool, ...]          # per program: run it in the VM
     validate: bool = False
     backends: tuple[str, ...] | None = None
 
+    @property
+    def filename(self) -> str:
+        first, last = self.programs[0].name, self.programs[-1].name
+        return first if first == last else f"{first} .. {last}"
 
-def _run_suite_task(task: _SuiteTask) -> SamateOutcome:
-    return run_samate_program(task.program, execute=task.execute,
-                              validate=task.validate,
-                              backends=task.backends)
+    def run(self) -> list[SamateOutcome]:
+        return [run_samate_program(program, execute=execute,
+                                   validate=self.validate and execute,
+                                   backends=self.backends)
+                for program, execute in zip(self.programs, self.execute)]
+
+    def failed(self, kind: str, message: str, *,
+               retries: int = 0) -> RuntimeError:
+        return RuntimeError(f"SAMATE program {self.filename}: {kind}, "
+                            f"retried {retries} time(s): {message}")
 
 
 def run_samate_suite(programs: list[TestProgram], *,
@@ -147,30 +162,32 @@ def run_samate_suite(programs: list[TestProgram], *,
                      validate: bool = False,
                      backends: tuple[str, ...] | None = None,
                      jobs: int | None = None) -> list[SamateOutcome]:
-    """Run many SAMATE programs, optionally over a fork pool.
+    """Run many SAMATE programs on the batch's executor.
 
     ``execute`` holds the ``id()`` of each program to actually run in
     the VM (None = execute all).  ``validate`` adds the differential
-    oracle to every executed program.  Outcomes come back in input order
+    oracle to every executed program.  The executor gets chunks of
+    ``len // (4 * jobs)`` programs, so ``REPRO_TASK_TIMEOUT`` and
+    ``REPRO_TASK_RETRIES`` apply per chunk; a chunk that still fails
+    raises, naming its programs.  Outcomes come back in input order
     regardless of worker count, so parallel evaluation tables are
     byte-identical to serial ones.
     """
-    from ..core.batch import default_jobs
-    tasks = [_SuiteTask(p, execute is None or id(p) in execute,
-                        validate and (execute is None or id(p) in execute),
-                        tuple(backends) if backends else None)
-             for p in programs]
     jobs = default_jobs() if jobs is None else max(1, jobs)
-    if jobs == 1 or len(tasks) <= 1:
-        return [_run_suite_task(task) for task in tasks]
-    import multiprocessing as mp
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:
-        return [_run_suite_task(task) for task in tasks]
-    chunk = max(1, len(tasks) // (jobs * 4))
-    with ctx.Pool(min(jobs, len(tasks))) as pool:
-        return pool.map(_run_suite_task, tasks, chunksize=chunk)
+    size = max(1, len(programs) // (4 * jobs))
+    chunks = [SuiteChunk(
+        tuple(part),
+        tuple(execute is None or id(p) in execute for p in part),
+        validate, tuple(backends) if backends else None)
+        for part in (programs[i:i + size]
+                     for i in range(0, len(programs), size))]
+    outcomes: list[SamateOutcome] = []
+    executor = make_executor(jobs if len(chunks) > 1 else 1)
+    for _index, result in executor.imap(chunks):
+        if isinstance(result, RuntimeError):
+            raise result
+        outcomes.extend(result)
+    return outcomes
 
 
 def stratified_sample(programs: list[TestProgram],

@@ -311,9 +311,9 @@ class TestArbitration:
         from repro.core.backends import _BACKEND_CACHE
         text = pp(OVERFLOW_SRC)
         base = _BACKEND_CACHE.stats
-        cached_backend_run("s3lib", text, "c.c")
+        cached_backend_run(get_backend("s3lib"), text, "c.c")
         misses = base.misses
-        again = cached_backend_run("s3lib", text, "c.c")
+        again = cached_backend_run(get_backend("s3lib"), text, "c.c")
         assert base.misses == misses              # second call is a hit
         assert again.backend == "s3lib"
 

@@ -226,7 +226,7 @@ class TestCacheCommand:
         assert run_cli(["batch", batch_dir])[0] == 0
         code, out, _ = run_cli(["cache", "stats"])
         assert code == 0
-        assert "preprocess" in out and "slr" in out
+        assert "preprocess" in out and "backend" in out
         assert "(total)" in out
 
     def test_stats_json_payload(self, fresh_store, batch_dir):
@@ -273,7 +273,7 @@ class TestCacheCommand:
     def test_gc_drops_only_version_directories(self, fresh_store):
         from repro.core.store import ArtifactStore
         stale = ArtifactStore(fresh_store.root, fingerprint="older")
-        stale.store("slr", "abcd", "old-entry")
+        stale.store("backend", "abcd", "old-entry")
         clip = os.path.join(fresh_store.root, "videos", "clip.mp4")
         os.makedirs(os.path.dirname(clip))
         with open(clip, "wb") as handle:

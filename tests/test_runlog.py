@@ -508,8 +508,7 @@ class TestQuarantine:
 
         def dies_on_file00(task, session=None):
             if task.filename == "file00.c":
-                return batch_module._supervisor_report(
-                    task, KIND_WORKER_DIED, "worker died")
+                return task.failed(KIND_WORKER_DIED, "worker died")
             return transform(task, session)
 
         monkeypatch.setattr(batch_module, "transform_file", dies_on_file00)

@@ -122,3 +122,60 @@ class TestPipeline:
         assert len({p.name for p in sample}) == 10
         sample_all = stratified_sample(programs, 999)
         assert len(sample_all) == 60
+
+
+class TestSuitePool:
+    """Table III's programs run on the batch's supervised executor."""
+
+    @staticmethod
+    def _programs(count=6):
+        return stratified_sample(
+            [p for programs in generate_suite(0.01).values()
+             for p in programs], count)
+
+    @staticmethod
+    def _die_in_worker(monkeypatch, victim, marker=None):
+        """Make the worker running ``victim`` exit abruptly: on every
+        attempt, or only while ``marker`` does not yet exist."""
+        import os
+
+        from repro.eval import samate_runner
+        real = samate_runner.run_samate_program
+
+        def dies(program, **kwargs):
+            if program.name == victim:
+                if marker is None:
+                    os._exit(3)
+                if not marker.exists():
+                    marker.touch()
+                    os._exit(3)
+            return real(program, **kwargs)
+
+        monkeypatch.setattr(samate_runner, "run_samate_program", dies)
+
+    def test_outcomes_equal_at_one_and_two_jobs(self, fresh_store):
+        from repro.eval.samate_runner import run_samate_suite
+        programs = self._programs()
+        serial = run_samate_suite(programs, jobs=1)
+        assert len(serial) == len(programs)
+        assert run_samate_suite(programs, jobs=2) == serial
+
+    def test_worker_killed_once_is_retried(self, fresh_store,
+                                           monkeypatch, tmp_path):
+        from repro.eval.samate_runner import run_samate_suite
+        programs = self._programs()
+        expected = run_samate_suite(programs, jobs=1)
+        marker = tmp_path / "killed"
+        self._die_in_worker(monkeypatch, programs[2].name, marker)
+        assert run_samate_suite(programs, jobs=2) == expected
+        assert marker.exists()                  # the worker did die
+
+    def test_worker_dying_every_attempt_raises_naming_program(
+            self, fresh_store, monkeypatch):
+        from repro.eval.samate_runner import run_samate_suite
+        programs = self._programs()
+        victim = programs[3].name
+        self._die_in_worker(monkeypatch, victim)
+        with pytest.raises(RuntimeError, match=victim) as failure:
+            run_samate_suite(programs, jobs=2)
+        assert "worker-died, retried 1 time(s)" in str(failure.value)

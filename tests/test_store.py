@@ -22,7 +22,7 @@ def scratch_cache():
     """A uniquely named disk-backed ContentCache, deregistered after."""
     caches = []
 
-    def make(name, family="slr", maxsize=None):
+    def make(name, family="backend", maxsize=None):
         cache = ContentCache(name, maxsize, family=family)
         caches.append(cache)
         return cache
@@ -35,9 +35,9 @@ def scratch_cache():
 class TestArtifactStore:
     def test_roundtrip(self, tmp_path):
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
-        nbytes = store.store("slr", "abcd", {"x": [1, 2, 3]})
+        nbytes = store.store("backend", "abcd", {"x": [1, 2, 3]})
         assert nbytes > 0
-        hit, value, read = store.load("slr", "abcd")
+        hit, value, read = store.load("backend", "abcd")
         assert hit and value == {"x": [1, 2, 3]} and read == nbytes
 
     def test_missing_entry_is_miss(self, tmp_path):
@@ -47,33 +47,33 @@ class TestArtifactStore:
 
     def test_corrupt_entry_is_miss_and_unlinked(self, tmp_path):
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
-        store.store("slr", "abcd", "good")
-        path = store._entry_path("slr", "abcd")
+        store.store("backend", "abcd", "good")
+        path = store._entry_path("backend", "abcd")
         with open(path, "wb") as fh:
             fh.write(b"\x80\x05 definitely not a pickle")
-        hit, value, _ = store.load("slr", "abcd")
+        hit, value, _ = store.load("backend", "abcd")
         assert not hit and value is None
         assert not os.path.exists(path)
 
     def test_half_written_tmp_is_invisible(self, tmp_path):
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
-        store.store("slr", "abcd", "value")
-        entry_dir = os.path.dirname(store._entry_path("slr", "abcd"))
+        store.store("backend", "abcd", "value")
+        entry_dir = os.path.dirname(store._entry_path("backend", "abcd"))
         tmp = os.path.join(entry_dir, ".abcd.9999.deadbeef.tmp")
         with open(tmp, "wb") as fh:
             fh.write(pickle.dumps("partial")[:5])
         # The published entry still loads; the torn write is ignored.
-        hit, value, _ = store.load("slr", "abcd")
+        hit, value, _ = store.load("backend", "abcd")
         assert hit and value == "value"
         # gc reclaims abandoned temp files but keeps live entries.
         result = store.gc(tmp_max_age_s=0.0)
         assert result["removed_files"] == 1
         assert not os.path.exists(tmp)
-        assert store.load("slr", "abcd")[0]
+        assert store.load("backend", "abcd")[0]
 
     def test_gc_drops_stale_versions(self, tmp_path):
         old = ArtifactStore(str(tmp_path), fingerprint="aaaa")
-        old.store("slr", "abcd", "old-entry")
+        old.store("backend", "abcd", "old-entry")
         new = ArtifactStore(str(tmp_path), fingerprint="bbbb")
         assert new.stale_versions() == [old.version_dir]
         result = new.gc()
@@ -83,14 +83,14 @@ class TestArtifactStore:
 
     def test_gc_max_age_removes_old_entries(self, tmp_path):
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
-        store.store("slr", "abcd", "value")
+        store.store("backend", "abcd", "value")
         assert store.gc(max_age_s=3600.0)["removed_files"] == 0
         assert store.gc(max_age_s=0.0)["removed_files"] == 1
-        assert not store.load("slr", "abcd")[0]
+        assert not store.load("backend", "abcd")[0]
 
     def test_clear_reports_files_and_bytes(self, tmp_path):
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
-        written = store.store("slr", "abcd", "v1") \
+        written = store.store("backend", "abcd", "v1") \
             + store.store("verify", "efgh", True)
         files, nbytes = store.clear()
         assert files == 2 and nbytes == written
@@ -98,11 +98,11 @@ class TestArtifactStore:
 
     def test_usage_per_family(self, tmp_path):
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
-        store.store("slr", "aa11", "x")
-        store.store("slr", "bb22", "y")
+        store.store("backend", "aa11", "x")
+        store.store("backend", "bb22", "y")
         store.store("execute", "cc33", "z")
         usage = store.usage()
-        assert usage["slr"]["entries"] == 2
+        assert usage["backend"]["entries"] == 2
         assert usage["execute"]["entries"] == 1
         assert "verify" not in usage
 
@@ -114,7 +114,9 @@ class TestArtifactStore:
     def test_no_ast_family(self):
         from repro.core.store import FAMILIES
         assert "parse" not in FAMILIES
-        assert len(FAMILIES) == 10
+        # SLR and STR results live in the one ``backend`` family.
+        assert not {"slr", "str"} & set(FAMILIES)
+        assert len(FAMILIES) == 8
 
 
 class TestConcurrentWriters:
@@ -125,7 +127,7 @@ class TestConcurrentWriters:
         "store = ArtifactStore({root!r}, fingerprint='race')\n"
         "for i in range(40):\n"
         "    key = 'k%03d' % i\n"
-        "    store.store('slr', key, ('value', i, {tag!r}))\n")
+        "    store.store('backend', key, ('value', i, {tag!r}))\n")
 
     def test_two_processes_racing_same_keys(self, tmp_path):
         """Both writers publish every key; readers only ever observe
@@ -140,7 +142,7 @@ class TestConcurrentWriters:
             assert proc.wait(timeout=120) == 0
         store = ArtifactStore(str(tmp_path), fingerprint="race")
         for i in range(40):
-            hit, value, _ = store.load("slr", "k%03d" % i)
+            hit, value, _ = store.load("backend", "k%03d" % i)
             assert hit, i
             assert value[:2] == ("value", i)
             assert value[2] in ("one", "two")
@@ -155,8 +157,8 @@ class TestShardedLayout:
     def test_entries_land_in_shard_directories(self, tmp_path):
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
         for i in range(200):
-            store.store("slr", f"key{i:03d}x", i)
-        family_dir = os.path.join(store.version_dir, "slr")
+            store.store("backend", f"key{i:03d}x", i)
+        family_dir = os.path.join(store.version_dir, "backend")
         subdirs = sorted(os.listdir(family_dir))
         assert subdirs == [f"s{n:03d}" for n in range(16)]
 
@@ -170,23 +172,23 @@ class TestShardedLayout:
 
     def test_gc_prunes_empty_directories(self, tmp_path):
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
-        store.store("slr", "abcd", "value")
-        entry_dir = os.path.dirname(store._entry_path("slr", "abcd"))
+        store.store("backend", "abcd", "value")
+        entry_dir = os.path.dirname(store._entry_path("backend", "abcd"))
         result = store.gc(max_age_s=0.0)
         assert result["removed_files"] == 1
         assert result["removed_dirs"] >= 2     # shard dir + family dir
         assert not os.path.exists(entry_dir)
-        assert not os.path.exists(os.path.join(store.version_dir, "slr"))
+        assert not os.path.exists(os.path.join(store.version_dir, "backend"))
         # The store still works after pruning.
-        assert store.store("slr", "abcd", "again") > 0
-        assert store.load("slr", "abcd")[0]
+        assert store.store("backend", "abcd", "again") > 0
+        assert store.load("backend", "abcd")[0]
 
     def test_gc_race_tolerates_missing_entries(self, tmp_path,
                                                monkeypatch):
         """A second gc racing the first sees entries vanish between the
         walk and the unlink; both finish cleanly."""
         store = ArtifactStore(str(tmp_path), fingerprint="t1")
-        store.store("slr", "abcd", "value")
+        store.store("backend", "abcd", "value")
         real_unlink = os.unlink
 
         def racing_unlink(path, *args, **kwargs):
@@ -198,7 +200,7 @@ class TestShardedLayout:
         result = store.gc(max_age_s=0.0)
         assert result["removed_files"] == 0    # lost every race
         monkeypatch.undo()
-        assert not os.path.exists(store._entry_path("slr", "abcd"))
+        assert not os.path.exists(store._entry_path("backend", "abcd"))
 
     def test_two_process_race_on_sharded_layout(self, tmp_path):
         """Two writers race the same keys across many shards; every key
@@ -210,7 +212,7 @@ class TestShardedLayout:
             "store = ArtifactStore({root!r}, fingerprint='shard-race')\n"
             "for i in range(40):\n"
             "    key = 'k%03d' % i\n"
-            "    store.store('slr', key, ('value', i, {tag!r}))\n")
+            "    store.store('backend', key, ('value', i, {tag!r}))\n")
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c",
@@ -222,10 +224,10 @@ class TestShardedLayout:
         store = ArtifactStore(str(tmp_path), fingerprint="shard-race")
         for i in range(40):
             key = "k%03d" % i
-            hit, value, _ = store.load("slr", key)
+            hit, value, _ = store.load("backend", key)
             assert hit, i
             assert value[:2] == ("value", i)
-            assert os.path.exists(store._entry_path("slr", key))
+            assert os.path.exists(store._entry_path("backend", key))
         leftovers = [name for _, _, names in os.walk(str(tmp_path))
                      for name in names if name.endswith(".tmp")]
         assert leftovers == []
@@ -316,20 +318,20 @@ class TestBatchIntegration:
         """Identical-content files share one transform: each file is
         computed under its own name, and the content-keyed caches serve
         the duplicate's text."""
-        from repro.core.batch import _SLR_CACHE, _STR_CACHE, \
-            SourceProgram, apply_batch
+        from repro.core.backends import _BACKEND_CACHE
+        from repro.core.batch import SourceProgram, apply_batch
         src = BROKEN_TMPL.format(tag="dedup-test")
         other = BROKEN_TMPL.format(tag="dedup-test-other")
         program = SourceProgram(
             "dup", {"a.c": src, "b.c": src, "c.c": other})
-        result, (slr, str_) = counter_deltas(
-            (_SLR_CACHE, _STR_CACHE),
+        result, (backend,) = counter_deltas(
+            (_BACKEND_CACHE,),
             lambda: apply_batch(program, jobs=1, validate=False))
-        # Two unique texts -> two SLR builds, no duplicate disk misses.
-        assert slr.misses == 2
-        assert slr.hits == 1
-        assert slr.disk_misses == 2
-        assert str_.misses == 2
+        # Two unique texts -> two SLR and two STR builds, no duplicate
+        # disk misses.
+        assert backend.misses == 4
+        assert backend.hits == 2
+        assert backend.disk_misses == 4
         by_name = {r.filename: r for r in result.reports}
         assert sorted(by_name) == ["a.c", "b.c", "c.c"]
         assert by_name["a.c"].final_text == by_name["b.c"].final_text
@@ -350,8 +352,8 @@ class TestBatchIntegration:
         work key misses that report (a new oracle seed) is served by
         per-stage disk hits; both are byte-identical to the cold run."""
         from repro.cfront.cache import _PP_CACHE
-        from repro.core.batch import _SLR_CACHE, _STR_CACHE, \
-            SourceProgram, apply_batch
+        from repro.core.backends import _BACKEND_CACHE
+        from repro.core.batch import SourceProgram, apply_batch
         from repro.core.session import reset_session
         from repro.core.validate import _VALIDATE_CACHE
         src = BROKEN_TMPL.format(tag="crossproc-test")
@@ -361,11 +363,11 @@ class TestBatchIntegration:
         clear_all_caches()
         reset_session()
         warm, deltas = counter_deltas(
-            (_PP_CACHE, _SLR_CACHE, _STR_CACHE, _VALIDATE_CACHE),
+            (_PP_CACHE, _BACKEND_CACHE, _VALIDATE_CACHE),
             lambda: apply_batch(SourceProgram("xp", {"a.c": src}),
                                 jobs=1, validate=True))
         assert warm.info.from_store == 1
-        assert [delta.disk_hits for delta in deltas] == [1, 0, 0, 0]
+        assert [delta.disk_hits for delta in deltas] == [1, 0, 0]
         assert warm.reports[0].final_text == cold.reports[0].final_text
         assert warm.reports[0].validation.counts() \
             == cold.reports[0].validation.counts()
@@ -373,12 +375,12 @@ class TestBatchIntegration:
         clear_all_caches()
         reset_session()
         reseeded, deltas = counter_deltas(
-            (_PP_CACHE, _SLR_CACHE, _STR_CACHE, _VALIDATE_CACHE),
+            (_PP_CACHE, _BACKEND_CACHE, _VALIDATE_CACHE),
             lambda: apply_batch(SourceProgram("xp", {"a.c": src}),
                                 jobs=1, validate=True, fuzz_seed=5))
         assert reseeded.info.from_store == 0
         assert sum(delta.disk_hits for delta in deltas) > 0
-        assert deltas[1].disk_hits == 1
+        assert deltas[1].disk_hits == 2             # SLR and STR
         assert reseeded.reports[0].final_text \
             == cold.reports[0].final_text
 
@@ -444,8 +446,9 @@ class TestBatchIntegration:
         src = BROKEN_TMPL.format(tag="seed-test")
         session = get_session()
         original = session.preprocess(src, "seed_test.c").text
-        from repro.core.batch import cached_slr
-        transformed = cached_slr(original, "seed_test.c").new_text
+        from repro.core.backends import SLRBackend, cached_backend_run
+        transformed = cached_backend_run(
+            SLRBackend(), original, "seed_test.c").new_text
         assert transformed != original
 
         def run():
@@ -486,9 +489,9 @@ class TestFingerprintSalt:
 
     def test_fingerprint_salts_content_key(self, monkeypatch):
         self._checkout(monkeypatch, "aaaa")
-        key_a = content_key("slr", "same text")
+        key_a = content_key("backend", "same text")
         self._checkout(monkeypatch, "bbbb")
-        key_b = content_key("slr", "same text")
+        key_b = content_key("backend", "same text")
         assert key_a != key_b
 
     def test_fingerprint_selects_version_dir(self, tmp_path,
@@ -533,13 +536,48 @@ class TestBackendKeySalt:
             != backend_cache_key(Tuned(), self.TEXT)
 
     def test_arbitration_version_salts_key(self, monkeypatch):
-        from repro.core import backends
-        key_1 = backends.backend_cache_key(
+        """The arbitration contract version salts an arbitrated report's
+        work key; no transform depends on it, so it salts no cache
+        key."""
+        from repro.core import backends, batch
+        task = batch.FileTask("f.c", self.TEXT, backends=("slr", "str"))
+        work_key = batch._task_work_key(task)
+        transform_key = backends.backend_cache_key(
             backends.get_backend("slr"), self.TEXT)
+        monkeypatch.setattr(batch, "ARBITRATION_VERSION", "arb-test")
         monkeypatch.setattr(backends, "ARBITRATION_VERSION", "arb-test")
-        key_2 = backends.backend_cache_key(
-            backends.get_backend("slr"), self.TEXT)
-        assert key_1 != key_2
+        assert batch._task_work_key(task) != work_key
+        assert backends.backend_cache_key(
+            backends.get_backend("slr"), self.TEXT) == transform_key
+
+    def test_slr_profile_salts_key(self):
+        from repro.core.backends import SLRBackend, backend_cache_key, \
+            get_backend
+        assert backend_cache_key(SLRBackend(), self.TEXT) \
+            == backend_cache_key(get_backend("slr"), self.TEXT)
+        assert backend_cache_key(SLRBackend("c11"), self.TEXT) \
+            != backend_cache_key(SLRBackend(), self.TEXT)
+
+    def test_c11_chain_never_replays_a_glib_entry(self, fresh_store):
+        """A ``--slr-profile c11`` batch after a glib batch over the same
+        text builds its own SLR and STR results: the glib entries in the
+        memory LRU and on disk both miss."""
+        from repro.core.backends import _BACKEND_CACHE
+        from repro.core.batch import SourceProgram, apply_batch
+        src = BROKEN_TMPL.format(tag="profile-test")
+
+        def batch(profile):
+            return apply_batch(SourceProgram("p", {"a.c": src}), jobs=1,
+                               profile=profile).reports[0]
+
+        glib = batch("glib")
+        c11, (delta,) = counter_deltas((_BACKEND_CACHE,),
+                                       lambda: batch("c11"))
+        assert (delta.misses, delta.hits) == (2, 0)     # SLR and STR
+        assert (delta.disk_misses, delta.disk_hits) == (2, 0)
+        assert "g_strlcpy" in glib.final_text
+        assert "g_strlcpy" not in c11.final_text
+        assert c11.slr.transformed_count == 1
 
     def test_backend_family_registered_in_store(self):
         from repro.core.store import FAMILIES

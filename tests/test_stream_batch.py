@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.backends import _BACKEND_CACHE
 from repro.core.batch import (
-    _SLR_CACHE, FileTask, ProcessPoolExecutor, SerialExecutor,
-    SourceProgram, apply_batch, stream_batch, stream_window,
-    transform_file,
+    FileTask, ProcessPoolExecutor, SerialExecutor, SourceProgram,
+    apply_batch, stream_batch, stream_window, transform_file,
 )
 from repro.core.report import render_diagnostics
 from repro.core.runlog import RunJournal
@@ -85,14 +85,15 @@ class TestStreamEquivalence:
         assert names == sorted(names)
 
     def test_apply_batch_unchanged_with_duplicates(self, fresh_store):
-        """A duplicate file is computed under its own name; the SLR
-        cache serves its text, so it costs no second build."""
+        """A duplicate file is computed under its own name; the backend
+        cache serves its text, so it costs no second SLR or STR
+        build."""
         src = BROKEN_TMPL.format(tag="dup")
         program = SourceProgram("dup", {"a.c": src, "b.c": src})
-        before = _SLR_CACHE.stats.hits, _SLR_CACHE.stats.misses
+        before = _BACKEND_CACHE.stats.hits, _BACKEND_CACHE.stats.misses
         result = apply_batch(program, jobs=1, validate=False)
-        assert (_SLR_CACHE.stats.hits - before[0],
-                _SLR_CACHE.stats.misses - before[1]) == (1, 1)
+        assert (_BACKEND_CACHE.stats.hits - before[0],
+                _BACKEND_CACHE.stats.misses - before[1]) == (2, 2)
         assert result.reports[0].final_text \
             == result.reports[1].final_text
         assert [r.filename for r in result.reports] == ["a.c", "b.c"]
@@ -146,7 +147,7 @@ class TestStreamLaziness:
         program = SourceProgram("big", {
             f"f{i:04d}.c": BROKEN_TMPL.format(tag=f"u{i % unique}")
             for i in range(1000)})
-        builds = _SLR_CACHE.stats.misses
+        builds = _BACKEND_CACHE.stats.misses
         stream = stream_batch(program, jobs=1, validate=False)
         alive = []
         peak_alive = 0
@@ -162,8 +163,9 @@ class TestStreamLaziness:
         assert count == 1000
         gc.collect()
         assert peak_alive < 300          # never anywhere near O(batch)
-        # The content caches serve the repeats: one build per text.
-        assert _SLR_CACHE.stats.misses - builds == unique
+        # The content caches serve the repeats: one SLR and one STR
+        # build per text.
+        assert _BACKEND_CACHE.stats.misses - builds == 2 * unique
         assert stream.executor.max_inflight == 1    # one file at a time
 
     @staticmethod

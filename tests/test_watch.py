@@ -142,7 +142,8 @@ def test_non_utf8_file_is_an_error_record(tmp_path):
     reports = {r.filename: r for r in loop.scan_once(force=True)}
     assert reports["latin.c"].mode == "error"
     assert reports["latin.c"].status == "failed"
-    assert "UnicodeDecodeError" in reports["latin.c"].reason
+    assert "latin.c:1:7: byte 0xe9 is not UTF-8" \
+        in reports["latin.c"].reason
     assert reports["good.c"].mode == "full"
 
 
