@@ -245,31 +245,27 @@ def clear_all_caches() -> None:
 _PP_CACHE = ContentCache("preprocess", family="preprocess")
 
 
+def header_key_parts(headers) -> list[str]:
+    """A private header set as content-key parts: the count, then each
+    name and text in name order, so no two header sets share a key.
+    ``headers`` is a mapping or ``(name, text)`` pairs."""
+    items = sorted(dict(headers or ()).items())
+    return [str(len(items)), *[part for item in items for part in item]]
+
+
 def preprocess_cached(text: str, filename: str = "<string>",
-                      include_paths: dict[str, str] | None = None,
-                      predefined: dict[str, str] | None = None,
-                      *, use_builtin_headers: bool = True):
+                      include_paths=None):
     """Preprocess ``text``, reusing the result for identical inputs.
 
-    The key covers the file text, the private header set, the predefined
-    macros, and the builtin-header switch — everything the preprocessor's
-    output depends on — so an edited header or macro is a miss, never a
-    stale hit.
+    ``include_paths`` holds the private headers (a mapping or
+    ``(name, text)`` pairs).  The key covers the file name and text and
+    the header set — everything the preprocessor's output depends on —
+    so an edited header is a miss, never a stale hit.
     """
     from .preprocessor import Preprocessor
 
-    key_parts = [filename, text]
-    for mapping in (include_paths, predefined):
-        for name in sorted(mapping or ()):
-            key_parts.append(name)
-            key_parts.append((mapping or {})[name])
-        key_parts.append("\x1f")
-    key_parts.append("builtin" if use_builtin_headers else "bare")
-    key = content_key(*key_parts)
-
-    def build():
-        pp = Preprocessor(include_paths, predefined,
-                          use_builtin_headers=use_builtin_headers)
-        return pp.preprocess(text, filename)
-
-    return _PP_CACHE.get_or_build(key, build)
+    headers = dict(include_paths or ())
+    key = content_key("preprocess", filename, text,
+                      *header_key_parts(headers))
+    return _PP_CACHE.get_or_build(
+        key, lambda: Preprocessor(headers).preprocess(text, filename))

@@ -41,7 +41,7 @@ from .diagnostics import diagnostic_from_exception
 from .session import AnalysisSession, get_session
 from .transform import TransformResult, Transformation
 from .validate import (
-    VERDICT_BENIGN, VERDICT_PREVENTED, DifferentialInput,
+    VERDICT_BENIGN, VERDICT_PREVENTED,
     ValidationReport, default_inputs, validate_pair,
 )
 
@@ -384,12 +384,6 @@ def candidate_score(candidate: BackendCandidate,
             -order_index)
 
 
-def _judge(original: str, candidate_text: str, filename: str,
-           inputs: list[DifferentialInput]) -> ValidationReport:
-    return validate_pair(original, candidate_text, filename=filename,
-                         inputs=inputs)
-
-
 def arbitrate_file(text: str, filename: str,
                    backends: tuple[str, ...], *,
                    session: AnalysisSession | None = None,
@@ -444,8 +438,9 @@ def arbitrate_file(text: str, filename: str,
                     # (the parse check above is charged to verify); without
                     # the wrapper it leaked into the parent stage.
                     with profile.stage("validate"):
-                        candidate.validation = _judge(
-                            text, result.new_text, filename, inputs)
+                        candidate.validation = validate_pair(
+                            text, result.new_text, filename=filename,
+                            inputs=inputs)
                 except Exception as exc:
                     candidate.status = CANDIDATE_REJECTED
                     candidate.reason = (f"judge failed: "

@@ -17,12 +17,13 @@ results — tasks are ordered by filename and the pool preserves input
 order — so a parallel run differs from a serial one only in wall clock.
 Dispatch is one bounded stream, :class:`BatchStream`: its task source
 yields, per file in filename order, either a :class:`FileTask` or a
-report that is already final (a preprocess failure, a journal replay, a
-quarantined file, a clean report an earlier run stored), and the
-executor passes a final report through in its place.  The executor
-pulls no more than :func:`stream_window` items ahead of emission and
-emits in input order as results complete, so the parent's working set
-is O(jobs + window) on every path, a resume included.
+report that is already final (a journal replay, a quarantined file, a
+clean report an earlier run stored), and the executor passes a final
+report through in its place.  The parent only keys, replays and
+dispatches; each task preprocesses its own file.  The executor pulls
+no more than :func:`stream_window` items ahead of emission and emits in
+input order as results complete, so the parent's working set is
+O(jobs + window) on every path, a resume included.
 :func:`stream_batch` exposes the stream; :func:`apply_batch` collects it
 into a :class:`BatchResult`.
 
@@ -50,7 +51,7 @@ import pickle
 import time
 from dataclasses import dataclass, field
 
-from ..cfront.cache import content_key
+from ..cfront.cache import content_key, header_key_parts
 from ..cfront.source import count_source_lines
 from . import faults, profile
 from .diagnostics import (
@@ -144,12 +145,11 @@ def header_dir(path: str) -> str:
 
 @dataclass
 class SourceProgram:
-    """A C program: source files, private headers, predefined macros."""
+    """A C program: source files and private headers."""
 
     name: str
     files: dict[str, str]                       # .c file name -> text
     headers: dict[str, str] = field(default_factory=dict)
-    predefined: dict[str, str] = field(default_factory=dict)
     main_file: str | None = None
     preprocessed: bool = False                  # files already preprocessed
     _pp_memo: "SourceProgram | None" = field(
@@ -177,11 +177,12 @@ class SourceProgram:
         if self._pp_memo is not None:
             return self._pp_memo
         session = session if session is not None else get_session()
-        out = {filename: session.preprocess(text, filename, self.headers,
-                                            self.predefined).text
+        out = {filename: session.preprocess(text, filename,
+                                            self.headers).text
                for filename, text in self.files.items()}
-        self._pp_memo = SourceProgram(self.name, out, {}, {},
-                                      self.main_file, preprocessed=True)
+        self._pp_memo = SourceProgram(self.name, out,
+                                      main_file=self.main_file,
+                                      preprocessed=True)
         return self._pp_memo
 
     def pp_kloc(self) -> float:
@@ -221,7 +222,9 @@ class FileTask:
     backoff's subject), :meth:`run` and :meth:`failed`."""
 
     filename: str
-    text: str                                   # preprocessed text
+    text: str                                   # the source as read
+    #: The program's private headers, ``(name, text)`` sorted by name.
+    headers: tuple[tuple[str, str], ...] = ()
     run_slr: bool = True
     run_str: bool = True
     profile: str = "glib"
@@ -235,13 +238,15 @@ class FileTask:
     def run(self) -> "FileTransformReport":
         return transform_file(self)
 
-    def failed(self, kind: str, message: str, *,
-               retries: int = 0) -> "FileTransformReport":
-        """What a supervisor records when the worker died or timed out
-        for good: the input verbatim, one ``worker``-stage diagnostic."""
+    def failed(self, kind: str, message: str, *, retries: int = 0,
+               wall: float = 0.0, stage_times=None
+               ) -> "FileTransformReport":
+        """The report of a task whose worker died or timed out for good
+        (the supervisor's verdict, or an injected kill or hang caught in
+        the task): the input verbatim, one ``worker``-stage diagnostic."""
         return FileTransformReport(
-            self.filename, None, None, self.text, True, 0.0, None, {},
-            status=STATUS_FAILED,
+            self.filename, None, None, self.text, True, wall, None,
+            dict(stage_times or {}), status=STATUS_FAILED,
             diagnostics=[supervisor_diagnostic(self.filename, kind, message,
                                                retries=retries)])
 
@@ -318,12 +323,13 @@ def _stored_report(key: str) -> FileTransformReport | None:
 def transform_file(task: FileTask,
                    session: AnalysisSession | None = None
                    ) -> FileTransformReport:
-    """Run the SLR→STR chain over one preprocessed file, fault-isolated.
+    """Preprocess one file and run the SLR→STR chain over it,
+    fault-isolated.
 
     When SLR queues no edits, STR's parse of the "new" text is a cache
     hit on SLR's input unit — the chain only rebuilds what changed.
     With ``task.validate`` set, the differential oracle then executes
-    the original vs. transformed text on the standard probe set; the
+    the preprocessed vs. transformed text on the standard probe set; the
     probe inputs depend only on filename and seed, so verdicts are
     byte-identical at any worker count.  Per-stage wall times land on
     the report's ``stage_times`` (exclusive, so they sum to the file's
@@ -335,36 +341,39 @@ def transform_file(task: FileTask,
     :class:`~repro.core.diagnostics.FileDiagnostic` on the report and
     the chain degrades instead of propagating — an STR failure still
     ships the SLR result, a failed SLR leaves the text for STR, a
-    failed oracle leaves the transform (unvalidated).  Only the
-    injected whole-process faults (:class:`~repro.core.faults
-    .InjectedKill` / ``InjectedHang``, ``BaseException`` subclasses)
-    abort the file, mirroring what a real worker death looks like.
+    failed oracle leaves the transform (unvalidated), and a file that
+    does not preprocess goes no further.  Only the injected
+    whole-process faults (:class:`~repro.core.faults.InjectedKill` /
+    ``InjectedHang``, ``BaseException`` subclasses) abort the file,
+    mirroring what a real worker death looks like.  A ``failed`` report
+    ships the source as read.
     """
     session = session if session is not None else get_session()
     start = time.perf_counter()
     diagnostics: list[FileDiagnostic] = []
-    arbitration: ArbitrationReport | None = None
+    slr_result = str_result = validation = arbitration = None
     with profile.collect(task.filename) as stage_times:
         try:
-            if task.backends:
-                slr_result = str_result = None
+            pp = _preprocess(task, session, diagnostics)
+            if pp is None:
+                text, parses = task.text, True
+            elif task.backends:
                 text, parses, validation, arbitration = arbitrate_file(
-                    task.text, task.filename, task.backends,
+                    pp, task.filename, task.backends,
                     session=session, fuzz_seed=task.fuzz_seed,
                     diagnostics=diagnostics)
             else:
                 slr_result, str_result, text, parses, validation = \
-                    _run_stages(task, session, diagnostics)
+                    _run_stages(task, pp, session, diagnostics)
         except (faults.InjectedKill, faults.InjectedHang) as exc:
             kind = KIND_WORKER_DIED if isinstance(exc, faults.InjectedKill) \
                 else KIND_TIMEOUT
-            return FileTransformReport(
-                task.filename, None, None, task.text, True,
-                time.perf_counter() - start, None, dict(stage_times),
-                status=STATUS_FAILED,
-                diagnostics=[supervisor_diagnostic(task.filename, kind,
-                                                   str(exc))])
-    if task.backends:
+            return task.failed(kind, str(exc),
+                               wall=time.perf_counter() - start,
+                               stage_times=stage_times)
+    if pp is None:
+        produced = False
+    elif task.backends:
         # Arbitration produced something as long as at least one backend
         # ran to a judged (or inapplicable) candidate.
         produced = any(c.status != CANDIDATE_ERROR
@@ -378,11 +387,12 @@ def transform_file(task: FileTask,
     diagnostics = [d for d in diagnostics
                    if (key := (d.stage, d.kind, d.message, d.location))
                    not in seen and not seen.add(key)]
+    status = status_of(diagnostics, produced)
     report = FileTransformReport(task.filename, slr_result, str_result,
-                                 text, parses,
+                                 task.text if status == STATUS_FAILED
+                                 else text, parses,
                                  time.perf_counter() - start, validation,
-                                 dict(stage_times),
-                                 status=status_of(diagnostics, produced),
+                                 dict(stage_times), status=status,
                                  diagnostics=diagnostics,
                                  arbitration=arbitration)
     store = _report_store() if _clean(report) else None
@@ -391,11 +401,28 @@ def transform_file(task: FileTask,
     return report
 
 
-def _run_stages(task: FileTask, session: AnalysisSession,
+def _preprocess(task: FileTask, session: AnalysisSession,
+                diagnostics: list[FileDiagnostic]) -> str | None:
+    """The file's preprocessed text, with the program's headers, inside
+    the ``preprocess`` stage guard; ``None`` with a diagnostic appended
+    when it does not preprocess."""
+    with profile.stage("preprocess"):
+        try:
+            faults.check("preprocess", task.filename)
+            return session.preprocess(task.text, task.filename,
+                                      task.headers).text
+        except Exception as exc:
+            diagnostics.append(diagnostic_from_exception(
+                "preprocess", task.filename, exc))
+            return None
+
+
+def _run_stages(task: FileTask, pp: str, session: AnalysisSession,
                 diagnostics: list[FileDiagnostic]):
-    """The guarded SLR → STR → verify → validate chain for one file;
-    SLR and STR share arbitration's guarded, cached backend run."""
-    text = task.text
+    """The guarded SLR → STR → verify → validate chain over the
+    preprocessed text ``pp``; SLR and STR share arbitration's guarded,
+    cached backend run."""
+    text = pp
     slr_result: TransformResult | None = None
     str_result: TransformResult | None = None
     if task.run_slr:
@@ -409,7 +436,7 @@ def _run_stages(task: FileTask, session: AnalysisSession,
             STRBackend(), text, task.filename, session, diagnostics)
         if str_result is not None:
             text = str_result.new_text
-    changed = text != task.text
+    changed = text != pp
     with profile.stage("verify"):
         try:
             faults.check("verify", task.filename)
@@ -432,7 +459,7 @@ def _run_stages(task: FileTask, session: AnalysisSession,
         try:
             faults.check("validate", task.filename)
             validation = validate_pair(
-                task.text, text, filename=task.filename,
+                pp, text, filename=task.filename,
                 inputs=default_inputs(task.filename, seed=task.fuzz_seed))
         except Exception as exc:
             diagnostics.append(diagnostic_from_exception(
@@ -868,10 +895,17 @@ class BatchResult:
 
     @property
     def transformed_program(self) -> SourceProgram:
-        return SourceProgram(
-            self.program.name + "+fixed",
-            {r.filename: r.final_text for r in self.reports},
-            {}, {}, self.program.main_file, preprocessed=True)
+        """The preprocessed program the batch made, for the VM to run.
+        A failed or quarantined file ships its source as read, so here
+        it is its preprocessed original."""
+        files = {r.filename: r.final_text for r in self.reports}
+        for report in self.reports:
+            if report.status in (STATUS_FAILED, STATUS_QUARANTINED):
+                files[report.filename] = \
+                    self.program.preprocess().files[report.filename]
+        return SourceProgram(self.program.name + "+fixed", files,
+                             main_file=self.program.main_file,
+                             preprocessed=True)
 
     def _results(self, which: str) -> list[TransformResult]:
         out = []
@@ -992,9 +1026,10 @@ class BatchResult:
 def _task_work_key(task: FileTask) -> str:
     """What a task's outcome depends on: the file name (diagnostics name
     it, the oracle seeds its probes with it, faults fire per name), the
-    text and the settings.  Each file of a batch therefore has its own
-    key, and so its own journal record."""
-    parts = ["task", task.filename, task.text, str(task.run_slr),
+    source, the header texts and the settings.  Each file of a batch
+    therefore has its own key, and so its own journal record."""
+    parts = ["task", task.filename, task.text,
+             *header_key_parts(task.headers), str(task.run_slr),
              str(task.run_str), task.profile]
     # The oracle's verdicts depend on the probe bytes (the per-file
     # seed in effect) and on its step and allocation budgets.
@@ -1010,19 +1045,8 @@ def _task_work_key(task: FileTask) -> str:
     return content_key(*parts)
 
 
-def _preprocess_failure_report(filename: str, original_text: str,
-                               diagnostic: FileDiagnostic,
-                               wall: float) -> FileTransformReport:
-    """The ``failed`` report for a file that never preprocessed: the
-    original text ships verbatim (nothing was made worse)."""
-    return FileTransformReport(
-        filename, None, None, original_text, True, wall, None,
-        {"preprocess": wall}, status=STATUS_FAILED,
-        diagnostics=[diagnostic])
-
-
-def _quarantined_report(filename: str, text: str, entry: dict,
-                        seconds: float) -> FileTransformReport:
+def _quarantined_report(task: FileTask,
+                        entry: dict) -> FileTransformReport:
     """The report for a known poison file: input shipped verbatim with
     status ``quarantined`` and a diagnostic naming the run that first
     condemned it — no retry/timeout budget is spent."""
@@ -1031,30 +1055,28 @@ def _quarantined_report(filename: str, text: str, entry: dict,
                f"{entry.get('attempts', 1)} attempt(s) "
                f"({entry.get('kind', '?')}: {entry.get('message', '')})")
     return FileTransformReport(
-        filename, None, None, text, True, 0.0, None,
-        {"preprocess": seconds}, status=STATUS_QUARANTINED,
-        diagnostics=[FileDiagnostic(filename, "worker", KIND_QUARANTINED,
-                                    message)])
+        task.filename, None, None, task.text, True, 0.0, None, {},
+        status=STATUS_QUARANTINED,
+        diagnostics=[FileDiagnostic(task.filename, "worker",
+                                    KIND_QUARANTINED, message)])
 
 
 class BatchStream:
     """Stream one program's transform reports in filename order.
 
-    The task source preprocesses each file in the parent as the
-    executor asks for it (an incremental pre-warm of the store) and
-    yields either the :class:`FileTask` a worker must compute or the
-    report of a file that needs no worker: a preprocess failure, a
-    journal replay (``--resume``), a quarantined file, a clean report
-    stored under the task's work key by an earlier run.  The sources
-    are tried in that order.  The executor passes such a report through
-    in its place, inside the same :func:`stream_window`, so the parent
-    holds O(window) reports on every path, a resume included;
-    ``executor.max_inflight`` records the high-water mark.  Every file
-    is computed under its own name: files with identical text share
-    only the content-keyed preprocess, backend and verify caches.  The
-    parent's preprocess seconds land on the ``stage_times`` of every
-    report the stream makes or replays from the store; a replayed report
-    otherwise keeps the times it was recorded with.
+    The task source builds each file's :class:`FileTask` (its source,
+    the program's headers and the settings) as the executor asks for
+    it, keys it, and yields either the task for a worker to compute or
+    the report of a file that needs no worker: a journal replay
+    (``--resume``), a quarantined file, a clean report stored under the
+    task's work key by an earlier run.  The sources are tried in that
+    order.  The executor passes such a report through in its place,
+    inside the same :func:`stream_window`, so the parent holds O(window)
+    reports on every path, a resume included; ``executor.max_inflight``
+    records the high-water mark.  Every file is computed under its own
+    name, preprocessing included, so files with identical text share
+    only the content-keyed preprocess, backend and verify caches.  A
+    replayed report keeps the times it was recorded with.
 
     Iterate it once; ``info`` is complete after exhaustion.
     :func:`apply_batch` collects it into a :class:`BatchResult`.
@@ -1066,7 +1088,6 @@ class BatchStream:
                  validate: bool = False,
                  fuzz_seed: int | None = None,
                  backends=None,
-                 session: AnalysisSession | None = None,
                  journal=None):
         self.program = program
         #: Optional :class:`repro.core.runlog.RunJournal`.  When set,
@@ -1074,7 +1095,6 @@ class BatchStream:
         #: terminal reports are journaled as they emit, and known
         #: poison content is quarantined instead of re-dispatched.
         self.journal = journal
-        self.session = session if session is not None else get_session()
         self.run_slr = run_slr
         self.run_str = run_str
         self.profile = profile
@@ -1087,9 +1107,9 @@ class BatchStream:
         # requested job count still lands in ``info.jobs``.
         self.executor = SerialExecutor() if program.file_count <= 1 \
             else executor
-        #: index -> (work key, parent preprocess seconds) of every file
-        #: computed or replayed from the store and not yet emitted.
-        self._dispatched: dict[int, tuple[str, float]] = {}
+        #: index -> (work key, task) of every journaled file computed or
+        #: replayed from the store and not yet emitted.
+        self._dispatched: dict[int, tuple[str, FileTask]] = {}
         self._gen = self._run()
 
     def __iter__(self):
@@ -1101,38 +1121,14 @@ class BatchStream:
     def _sources(self):
         """Yield, per file in filename order, the task to compute or the
         report that is already final.  Runs in the parent, driven by the
-        executor's dispatch window: each pull preprocesses exactly one
-        more file."""
+        executor's dispatch window: each pull keys exactly one more
+        file."""
         program = self.program
+        headers = tuple(sorted(program.headers.items()))
         for index, filename in enumerate(sorted(program.files)):
-            source = program.files[filename]
-            start = time.perf_counter()
-            if program.preprocessed:
-                text = source
-            else:
-                try:
-                    faults.check("preprocess", filename)
-                    text = self.session.preprocess(
-                        source, filename, program.headers,
-                        program.predefined).text
-                except Exception as exc:
-                    failure = _preprocess_failure_report(
-                        filename, source,
-                        diagnostic_from_exception("preprocess", filename,
-                                                  exc),
-                        time.perf_counter() - start)
-                    if self.journal is not None:
-                        # No preprocessed text, so no work key: the
-                        # record is keyed by name and source.
-                        self.journal.record_result(
-                            filename,
-                            content_key("pp-fail", filename, source),
-                            failure)
-                    yield failure
-                    continue
-            seconds = time.perf_counter() - start
-            task = FileTask(filename, text, self.run_slr, self.run_str,
-                            self.profile, self.validate, self.fuzz_seed,
+            task = FileTask(filename, program.files[filename], headers,
+                            self.run_slr, self.run_str, self.profile,
+                            self.validate, self.fuzz_seed,
                             self.backend_ids)
             key = _task_work_key(task)
             if self.journal is not None:
@@ -1146,18 +1142,17 @@ class BatchStream:
                     yield replayed
                     continue
                 from .runlog import quarantine_lookup
-                entry = quarantine_lookup(text)
+                entry = quarantine_lookup(task)
                 if entry is not None:
                     self.info.quarantined += 1
-                    report = _quarantined_report(filename, text, entry,
-                                                 seconds)
+                    report = _quarantined_report(task, entry)
                     self.journal.write_audit(key, report)
                     self.journal.record_quarantined(filename, key, entry)
                     yield report
                     continue
-            # A stored report emits like a computed one: ``_run`` stamps
-            # it and journals it, but no worker is woken for it.
-            self._dispatched[index] = (key, seconds)
+                # A stored report emits like a computed one: ``_run``
+                # journals it, but no worker is woken for it.
+                self._dispatched[index] = (key, task)
             stored = _stored_report(key)
             if stored is not None:
                 self.info.from_store += 1
@@ -1167,7 +1162,7 @@ class BatchStream:
                 self.journal.record_dispatched(filename, key)
             yield task
 
-    def _journal_emission(self, filename: str, key: str,
+    def _journal_emission(self, key: str, task: FileTask,
                           report: FileTransformReport) -> None:
         """Journal one computed or stored report as it emits — result
         pointer published first, then the WAL event — and quarantine
@@ -1175,25 +1170,21 @@ class BatchStream:
         death or timeout (the poison-file signature: the *machinery*
         around the file kept dying, so no per-stage guard could contain
         it)."""
-        self.journal.record_result(filename, key, report)
+        self.journal.record_result(task.filename, key, report)
         if report.status != STATUS_FAILED:
             return
         from .runlog import quarantine_record
         for diag in report.diagnostics:
             if diag.stage == "worker" \
                     and diag.kind in (KIND_TIMEOUT, KIND_WORKER_DIED):
-                quarantine_record(report.final_text, filename, diag,
-                                  self.journal.run_id)
+                quarantine_record(task, diag, self.journal.run_id)
                 return
 
     def _run(self):
         for index, report in self.executor.imap(self._sources()):
             pending = self._dispatched.pop(index, None)
             if pending is not None:
-                key, seconds = pending
-                report.stage_times["preprocess"] = seconds
-                if self.journal is not None:
-                    self._journal_emission(report.filename, key, report)
+                self._journal_emission(*pending, report)
             yield report
         self.info.supervision = dict(self.executor.supervision)
         self.info.workers = self.executor.spawned
@@ -1215,16 +1206,15 @@ def apply_batch(program: SourceProgram, *, run_slr: bool = True,
                 validate: bool = False,
                 fuzz_seed: int | None = None,
                 backends=None,
-                session: AnalysisSession | None = None,
                 journal=None) -> BatchResult:
     """Preprocess and transform every file of ``program``: collect
     :func:`stream_batch` into a :class:`BatchResult`.
 
     Files are processed in filename order by the executor selected via
     ``jobs`` (1 = serial, N > 1 = fork pool, default from ``REPRO_JOBS``),
-    so serial and parallel runs produce byte-identical reports.
-    Preprocessing runs in the parent, pre-warming the shared caches (and
-    the persistent store) before any worker needs them.
+    so serial and parallel runs produce byte-identical reports.  Each
+    file is preprocessed, with the program's headers, inside its own
+    task.
 
     ``validate=True`` runs the differential oracle on every transformed
     file; verdicts land on each report's ``validation`` and roll up via
@@ -1239,17 +1229,16 @@ def apply_batch(program: SourceProgram, *, run_slr: bool = True,
     lands on each report, and per-backend tallies roll up via
     :meth:`BatchResult.backend_scoreboard`.
 
-    Fault isolation: a file whose preprocessing fails becomes a
-    ``failed`` report (original text shipped verbatim, one
-    ``preprocess`` diagnostic) while its siblings continue through the
-    pipeline; downstream per-stage failures are contained inside
-    :func:`transform_file` the same way.
+    Fault isolation: every stage, preprocessing included, is contained
+    inside :func:`transform_file`; a file whose preprocessing fails
+    becomes a ``failed`` report (its source shipped verbatim, one
+    ``preprocess`` diagnostic) while its siblings continue.
     """
     start = time.perf_counter()
     stream = BatchStream(program, run_slr=run_slr, run_str=run_str,
                          profile=profile, jobs=jobs, validate=validate,
                          fuzz_seed=fuzz_seed, backends=backends,
-                         session=session, journal=journal)
+                         journal=journal)
     reports = list(stream)
     return BatchResult(program, reports, stream.info,
                        time.perf_counter() - start)

@@ -37,14 +37,14 @@ Any situation the incremental path does not model — preamble edits,
 reorders, mid-file declarations, edits outside function spans,
 position-dependent macros — falls back to the full pipeline, which is
 also how the engine warms up.  The full pipeline is the batch's: the
-text is preprocessed with the program's headers through the same
-session call and store key a batch uses, and
-:func:`repro.core.batch.transform_file` runs SLR, STR and the verify
-step under the batch's stage guards (the engine's own oracle then
-judges, so later edits can reuse its probe runs).  A stage failure,
+engine hands :func:`repro.core.batch.transform_file` the raw text and
+the program's headers, the task a batch builds for the file, and it
+preprocesses and runs SLR, STR and the verify step under the batch's
+stage guards (the engine's own oracle then judges a report that is not
+``failed``, so later edits can reuse its probe runs).  A stage failure,
 injected by a fault rule included, degrades the report exactly as in a
 batch and leaves no warm state, so every later update runs the full
-pipeline again.
+pipeline again; a ``failed`` report is an ``error`` record.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field, replace
 
 from functools import lru_cache
 
-from ..cfront.cache import ContentCache, content_key
+from ..cfront.cache import ContentCache, content_key, header_key_parts
 from ..cfront.funcdiff import (SegmentedFile, UnsupportedLayout, components,
                                diff_files, dirty_closure, patch_segment,
                                segment_file)
@@ -456,12 +456,9 @@ class IncrementalEngine:
                  profile: str = "glib", validate: bool = True,
                  fuzz_seed=None, session: AnalysisSession | None = None):
         self.filename = filename
-        self.headers = dict(headers or {})
-        #: The header set as content-key parts (count, then name and
-        #: text per header), so no two header sets share a key.
-        self._header_key = (str(len(self.headers)),
-                            *[part for name in sorted(self.headers)
-                              for part in (name, self.headers[name])])
+        #: ``(name, text)`` sorted by name, as a batch task carries them.
+        self.headers = tuple(sorted(dict(headers or {}).items()))
+        self._header_key = header_key_parts(self.headers)
         self.profile = profile
         self.validate = validate
         self.fuzz_seed = fuzz_seed
@@ -528,18 +525,18 @@ class IncrementalEngine:
         """The batch's pipeline for one file (see the module docstring),
         plus a state rebuild so the next update can go incremental."""
         self._reset_state()
-        try:
-            faults.check("preprocess", self.filename)
-            pp = self.session.preprocess(text, self.filename,
-                                         self.headers).text
-        except Exception as exc:
-            return UpdateReport(
-                self.filename, "error", repr(exc), text, False,
-                status=STATUS_FAILED,
-                diagnostics=[diagnostic_from_exception(
-                    "preprocess", self.filename, exc)])
         report = transform_file(
-            FileTask(self.filename, pp, profile=self.profile), self.session)
+            FileTask(self.filename, text, self.headers,
+                     profile=self.profile), self.session)
+        if report.status == STATUS_FAILED:
+            # No transformation survived, so there is nothing to judge.
+            first = report.diagnostics[0]
+            return UpdateReport(
+                self.filename, "error", f"{first.kind}: {first.message}",
+                report.final_text, False, status=STATUS_FAILED,
+                diagnostics=list(report.diagnostics))
+        # SLR's input, or STR's when SLR failed: the preprocessed text.
+        pp = (report.slr or report.str_).original_text
         diagnostics = list(report.diagnostics)
         validation = None
         if self.validate and report.parses:
@@ -563,9 +560,7 @@ class IncrementalEngine:
             self.filename, "full", reason, report.final_text, report.parses,
             list(report.slr.outcomes) if report.slr else [],
             list(report.str_.outcomes) if report.str_ else [], validation,
-            status=status_of(diagnostics, report.slr is not None
-                             or report.str_ is not None),
-            diagnostics=diagnostics)
+            status=status_of(diagnostics, True), diagnostics=diagnostics)
 
     def _rebuild(self, raw: str, pp: str, report) -> None:
         """Derive the warm per-function state from a clean full run."""
@@ -703,7 +698,7 @@ class IncrementalEngine:
         preamble = seg.preamble.text
         if preamble and not preamble.endswith("\n"):
             raise _Fallback("preamble-not-line-terminated", permanent=True)
-        filename, headers = self.filename, self.headers
+        filename, headers = self.filename, dict(self.headers)
 
         def render_preamble():
             return tokens_to_text(

@@ -42,10 +42,11 @@ never completed.
 
 **Quarantine** rides on the artifact store (family ``quarantine``,
 version-dir salted by the tool fingerprint): a file that exhausts
-``REPRO_TASK_RETRIES`` in a journaled run is recorded under its content
-hash and skipped — shipped verbatim with status ``quarantined`` —
-by every later journaled run, without re-burning the timeout/retry
-budget, until its content or the tool fingerprint changes.
+``REPRO_TASK_RETRIES`` in a journaled run is recorded under the hash of
+its source and header texts and skipped — shipped verbatim with status
+``quarantined`` — by every later journaled run, without re-burning the
+timeout/retry budget, until that content or the tool fingerprint
+changes.
 
 All journal I/O is best-effort: a full disk or unwritable run directory
 degrades to a warn-once unjournaled run, never a failed batch
@@ -62,7 +63,7 @@ import time
 import uuid
 import warnings
 
-from ..cfront.cache import content_key
+from ..cfront.cache import content_key, header_key_parts
 from ..fingerprint import tool_fingerprint
 from . import faults
 from .store import publish_atomic, remove_trees
@@ -489,38 +490,39 @@ def gc_runs(*, max_age_days: float | None = None,
 
 # ------------------------------------------------------------- quarantine
 
-def quarantine_key(text: str) -> str:
-    """Quarantine entries are keyed by content hash alone (plus the
-    store's fingerprint salt): an edit to the file — or to the tool —
+def quarantine_key(task) -> str:
+    """Quarantine entries are keyed by the content of a file's task —
+    its source and the program's header texts — alone (plus the store's
+    fingerprint salt): an edit to the file, to a header or to the tool
     releases it back into the pipeline."""
-    return content_key(QUARANTINE_FAMILY, text)
+    return content_key(QUARANTINE_FAMILY, task.text,
+                       *header_key_parts(task.headers))
 
 
-def quarantine_lookup(text: str) -> dict | None:
-    """The poison record for this content, or ``None``."""
+def quarantine_lookup(task) -> dict | None:
+    """The poison record for this task's content, or ``None``."""
     from .store import disk_enabled, get_store
     if not disk_enabled():
         return None
     hit, value, _nbytes = get_store().load(QUARANTINE_FAMILY,
-                                           quarantine_key(text))
+                                           quarantine_key(task))
     return value if hit and isinstance(value, dict) else None
 
 
-def quarantine_record(text: str, filename: str, diagnostic,
-                      run_id: str) -> dict | None:
+def quarantine_record(task, diagnostic, run_id: str) -> dict | None:
     """Record a poison file: called when a journaled run watched the
-    file exhaust its whole ``REPRO_TASK_RETRIES`` budget.  Cumulative
-    attempts across runs are kept for the audit trail."""
+    file's task exhaust its whole ``REPRO_TASK_RETRIES`` budget.
+    Cumulative attempts across runs are kept for the audit trail."""
     from .store import disk_enabled, get_store
     if not disk_enabled():
         return None
     store = get_store()
-    key = quarantine_key(text)
+    key = quarantine_key(task)
     hit, previous, _nbytes = store.load(QUARANTINE_FAMILY, key)
     attempts = previous.get("attempts", 0) \
         if hit and isinstance(previous, dict) else 0
     entry = {
-        "filename": filename,
+        "filename": task.filename,
         "stage": getattr(diagnostic, "stage", ""),
         "kind": getattr(diagnostic, "kind", ""),
         "message": getattr(diagnostic, "message", str(diagnostic)),

@@ -70,12 +70,11 @@ class AnalysisSession:
     # ------------------------------------------------------------ pipeline
 
     def preprocess(self, text: str, filename: str = "<string>",
-                   include_paths: dict[str, str] | None = None,
-                   predefined: dict[str, str] | None = None,
-                   ) -> PreprocessedSource:
+                   include_paths=None) -> PreprocessedSource:
         """Preprocess ``text`` through the content-keyed frontend cache;
-        ``include_paths`` maps private header names to their text."""
-        return preprocess_cached(text, filename, include_paths, predefined)
+        ``include_paths`` holds the private headers (a mapping of name
+        to text, or ``(name, text)`` pairs)."""
+        return preprocess_cached(text, filename, include_paths)
 
     def parse(self, text: str, filename: str = "<unit>") -> ParsedUnit:
         """Parse + bind + typecheck ``text``, cached by content.

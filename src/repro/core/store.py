@@ -11,8 +11,9 @@ for one ``open`` + ``unpickle``.  Parsed ASTs and the oracle's probe
 runs are not among them: they stay in memory, and a later run reads the
 verify verdict instead of an AST and the oracle verdict instead of its
 runs.  A batch file's whole clean report is stored too, under its work
-key: a warm batch over an unchanged file reads two entries for it
-(``preprocess`` and ``report``), and no worker computes it.
+key, which covers the file's source and header texts: a warm batch over
+an unchanged file reads one entry for it (``report``), preprocesses
+nothing and starts no worker.
 
 * **layout** — ``REPRO_CACHE_DIR`` (default ``~/.cache/repro``) holds one
   version directory per (schema, tool fingerprint), named
@@ -85,10 +86,12 @@ SCHEMA_VERSION = 1
 #: means a tool change releases every quarantined file automatically.
 #: ``report`` holds one batch file's whole clean report (status ``ok``,
 #: no diagnostics) under its task's work key, so a warm batch over an
-#: unchanged file replays it without forking a worker.  The per-stage
-#: families still serve every file whose work key misses it: a renamed
-#: file, changed settings, arbitration's candidates, the incremental
-#: engine and Table III.
+#: unchanged file replays it without preprocessing or forking a worker;
+#: the incremental engine's full path stores the report a batch without
+#: ``--validate`` replays.  The per-stage families, ``preprocess``
+#: among them, still serve every file whose work key misses its report
+#: (a renamed file, changed settings), and arbitration's candidates,
+#: the incremental engine and Table III.
 FAMILIES = ("preprocess", "verify", "backend", "validate", "execute",
             "func", "quarantine", "report")
 

@@ -342,6 +342,22 @@ def _inputs_key_parts(inputs: list[DifferentialInput]) -> list[str]:
             for probe in inputs]
 
 
+def _pair_key(filename: str, original: str, transformed: str,
+              inputs: list[DifferentialInput], step_limit: int,
+              mem_limit: int | None, entry: str) -> str:
+    """The store key of one pair's verdicts."""
+    return content_key("validate", filename, original, transformed,
+                       str(step_limit), str(mem_limit), entry,
+                       *_inputs_key_parts(inputs))
+
+
+def _budgets(step_limit: int | None, mem_limit: int | None
+             ) -> tuple[int, int | None]:
+    """The per-run budgets in effect: ``None`` defers to the knobs."""
+    return (oracle_step_limit() if step_limit is None else step_limit,
+            oracle_mem_limit() if mem_limit is None else mem_limit)
+
+
 # ---------------------------------------------------------------- oracle
 
 def validate_pair(original: str, transformed: str, *,
@@ -367,40 +383,48 @@ def validate_pair(original: str, transformed: str, *,
         return ValidationReport(filename, [], unchanged=True)
     if inputs is None:
         inputs = default_inputs(filename)
-    if step_limit is None:
-        step_limit = oracle_step_limit()
-    if mem_limit is None:
-        mem_limit = oracle_mem_limit()
-    key = content_key("validate", filename, original, transformed,
-                      str(step_limit), str(mem_limit), entry,
-                      *_inputs_key_parts(inputs))
+    step_limit, mem_limit = _budgets(step_limit, mem_limit)
 
     def build() -> ValidationReport:
-        return _run_probes(original, transformed, filename, inputs,
-                           step_limit, mem_limit, entry)
+        verdicts, _runs, _executed = _run_probes(
+            original, transformed, inputs, step_limit, mem_limit, entry)
+        return ValidationReport(filename, verdicts)
 
     with profile.stage("validate"):
-        return _VALIDATE_CACHE.get_or_build(key, build)
+        return _VALIDATE_CACHE.get_or_build(
+            _pair_key(filename, original, transformed, inputs, step_limit,
+                      mem_limit, entry), build)
 
 
-def _probe_verdict(probe: DifferentialInput, before: ExecutionResult,
-                   after: ExecutionResult) -> InputVerdict:
-    verdict, detail = classify(before, after)
-    return InputVerdict(probe, verdict, detail, before.fault or "",
-                        after.fault or "")
-
-
-def _run_probes(original: str, transformed: str, filename: str,
+def _run_probes(original: str, transformed: str,
                 inputs: list[DifferentialInput], step_limit: int,
-                mem_limit: int | None, entry: str) -> ValidationReport:
-    """Run every probe on both texts (see :func:`_probe_runner`) and
-    classify."""
+                mem_limit: int | None, entry: str, previous=None,
+                dirty: frozenset = frozenset()):
+    """Classify every probe on both texts: ``(verdicts, runs,
+    executed)``, where ``runs`` maps each probe name to its
+    ``(before, after)`` results and ``executed`` counts the probes that
+    ran on at least one side (see :func:`_probe_runner`).  A probe
+    whose ``previous`` runs never entered a ``dirty`` function reuses
+    them instead of running."""
     before_of = _probe_runner(original, step_limit, mem_limit, entry)
     after_of = _probe_runner(transformed, step_limit, mem_limit, entry)
-    verdicts = [_probe_verdict(probe, before_of(probe.stdin)[0],
-                               after_of(probe.stdin)[0])
-                for probe in inputs]
-    return ValidationReport(filename, verdicts)
+    verdicts: list[InputVerdict] = []
+    runs: dict[str, tuple[ExecutionResult, ExecutionResult]] = {}
+    executed = 0
+    for probe in inputs:
+        prev = previous.get(probe.name) if previous is not None else None
+        if prev is not None \
+                and not ((prev[0].entered | prev[1].entered) & dirty):
+            before, after = prev
+        else:
+            before, ran_before = before_of(probe.stdin)
+            after, ran_after = after_of(probe.stdin)
+            executed += ran_before or ran_after
+        runs[probe.name] = (before, after)
+        verdict, detail = classify(before, after)
+        verdicts.append(InputVerdict(probe, verdict, detail,
+                                     before.fault or "", after.fault or ""))
+    return verdicts, runs, executed
 
 
 class IncrementalValidator:
@@ -413,8 +437,9 @@ class IncrementalValidator:
     code either run could reach is byte-identical, so by induction over
     VM steps the new runs would reproduce the old observables exactly —
     reuse changes latency, never verdicts.  Probes that are re-run share
-    :func:`validate_pair`'s stdin rule (:func:`_probe_runner`); a probe
-    answered on both sides without a run counts as reused.
+    :func:`validate_pair`'s probe loop and stdin rule
+    (:func:`_run_probes`); a probe answered on both sides without a run
+    counts as reused.
 
     ``dirty`` must name every function whose definition differs between
     the previous and current text pair (on either side), including
@@ -427,8 +452,10 @@ class IncrementalValidator:
     def __init__(self, filename: str = "<unit>", *, entry: str = "main"):
         self.filename = filename
         self.entry = entry
-        self._runs: dict[str, tuple[ExecutionResult, ExecutionResult]] = {}
-        self._basis: tuple[str, str] | None = None
+        #: The previous pair's runs, or ``None`` when there is no basis
+        #: to reuse.
+        self._runs: dict[str, tuple[ExecutionResult, ExecutionResult]] \
+            | None = None
         #: Probe-execution accounting for diagnostics/bench.
         self.reused_probes = 0
         self.executed_probes = 0
@@ -440,51 +467,25 @@ class IncrementalValidator:
                  mem_limit: int | None = None) -> ValidationReport:
         if original == transformed:
             # Mirror validate_pair's short-circuit.  No runs were taken,
-            # so the stored basis no longer matches the next edit's
-            # dirty set — drop it and re-execute next time.
-            self._runs.clear()
-            self._basis = None
+            # so the next edit's dirty set has no basis to reuse.
+            self._runs = None
             return ValidationReport(self.filename, [], unchanged=True)
         if inputs is None:
             inputs = default_inputs(self.filename)
-        if step_limit is None:
-            step_limit = oracle_step_limit()
-        if mem_limit is None:
-            mem_limit = oracle_mem_limit()
-        new_runs: dict[str, tuple[ExecutionResult, ExecutionResult]] = {}
-        verdicts = []
-        reusable = dirty is not None and self._basis is not None
-        before_of = _probe_runner(original, step_limit, mem_limit,
-                                  self.entry)
-        after_of = _probe_runner(transformed, step_limit, mem_limit,
-                                 self.entry)
+        step_limit, mem_limit = _budgets(step_limit, mem_limit)
         with profile.stage("validate"):
-            for probe in inputs:
-                prev = self._runs.get(probe.name) if reusable else None
-                if prev is not None and \
-                        not ((prev[0].entered | prev[1].entered)
-                             & dirty):
-                    before, after = prev
-                    ran = False
-                else:
-                    before, ran_before = before_of(probe.stdin)
-                    after, ran_after = after_of(probe.stdin)
-                    ran = ran_before or ran_after
-                if ran:
-                    self.executed_probes += 1
-                else:
-                    self.reused_probes += 1
-                new_runs[probe.name] = (before, after)
-                verdicts.append(_probe_verdict(probe, before, after))
-        self._runs = new_runs
-        self._basis = (original, transformed)
+            verdicts, self._runs, executed = _run_probes(
+                original, transformed, inputs, step_limit, mem_limit,
+                self.entry, self._runs if dirty is not None else None,
+                dirty or frozenset())
+        self.executed_probes += executed
+        self.reused_probes += len(inputs) - executed
         report = ValidationReport(self.filename, verdicts)
         # Publish under the whole-pair key too, so a later cold
         # ``validate_pair`` on the same pair is a disk hit.
-        key = content_key("validate", self.filename, original,
-                          transformed, str(step_limit), str(mem_limit),
-                          self.entry, *_inputs_key_parts(inputs))
-        return _VALIDATE_CACHE.get_or_build(key, lambda: report)
+        return _VALIDATE_CACHE.get_or_build(
+            _pair_key(self.filename, original, transformed, inputs,
+                      step_limit, mem_limit, self.entry), lambda: report)
 
 
 def validate_result(result, *, filename: str = "<unit>",

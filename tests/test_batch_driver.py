@@ -30,12 +30,6 @@ class TestSourceProgram:
                                 preprocessed=True)
         assert program.preprocess() is program
 
-    def test_predefined_macros(self):
-        program = SourceProgram(
-            "p", {"a.c": "#ifdef FEATURE\nint on;\n#endif\n"},
-            predefined={"FEATURE": "1"})
-        assert "int on;" in program.preprocess().files["a.c"]
-
     def test_pp_kloc_larger_with_includes(self):
         program = SourceProgram(
             "p", {"a.c": "#include <stdio.h>\nint x;\n"})
@@ -82,6 +76,21 @@ class TestApplyBatch:
         batch = apply_batch(self.PROGRAM, run_str=False)
         assert batch.by_target("SLR") == {"strcpy": (1, 1),
                                           "strcat": (1, 1)}
+
+    def test_transformed_program_runs_failed_files_as_originals(
+            self, monkeypatch):
+        """A failed file ships its source as read; the transformed
+        program hands the VM its preprocessed original instead."""
+        from repro.vm.interp import run_program_files
+        monkeypatch.setenv("REPRO_FAULTS", "slr:exception:1.0")
+        batch = apply_batch(self.PROGRAM, run_str=False)
+        assert [(r.status, r.final_text) for r in batch.reports] == \
+            [("failed", self.PROGRAM.files[r.filename])
+             for r in batch.reports]
+        assert batch.transformed_program.files \
+            == self.PROGRAM.preprocess().files
+        result = run_program_files(batch.transformed_program.files)
+        assert result.stdout_text == "hello world\n"
 
     def test_transformed_program_is_marked_preprocessed(self):
         batch = apply_batch(self.PROGRAM)

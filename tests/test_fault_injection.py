@@ -8,11 +8,13 @@ carrying diagnostics, N−K transformed exactly as a fault-free run would
 """
 
 import contextlib
+import json
 import os
 import signal
 
 import pytest
 
+from repro.cli import main
 from repro.core import faults
 from repro.core.batch import SourceProgram, apply_batch
 from repro.core.diagnostics import (
@@ -161,7 +163,7 @@ class TestWorkerFaults:
         killed = set(faults.faulted_subjects("str", "kill", names))
         assert 0 < len(killed) < len(names)
 
-        preprocessed = chaos_program(4).preprocess().files
+        sources = chaos_program(4).files
         serial = apply_batch(chaos_program(4), jobs=1)
         pooled = apply_batch(chaos_program(4), jobs=4)
         assert outcome_shape(serial) == outcome_shape(pooled)
@@ -172,10 +174,9 @@ class TestWorkerFaults:
                     assert [(d.stage, d.kind)
                             for d in report.diagnostics] == \
                         [("worker", KIND_WORKER_DIED)]
-                    # Never made worse: the (preprocessed) input ships
+                    # Never made worse: the source as read ships
                     # verbatim — no half-applied rewrite.
-                    assert report.final_text == \
-                        preprocessed[report.filename]
+                    assert report.final_text == sources[report.filename]
                 else:
                     assert report.status == STATUS_OK
         assert pooled.info.supervision["worker_deaths"] == len(killed)
@@ -294,18 +295,48 @@ class TestWorkerFaults:
         assert pooled.info.supervision["retries"] == 3
 
 
-    def test_pool_batch_with_no_task_returns(self):
-        """At jobs=2, a batch whose every file fails to preprocess hands
-        the pool no task; the scheduler must return, not wait."""
-        missing = '#include "missing.h"\nint main(void) { return 0; }\n'
-        program = SourceProgram("no-tasks", {"a.c": missing,
-                                             "b.c": missing})
+    def test_pool_batch_with_no_task_returns(self, fresh_store):
+        """At jobs=2, a batch whose every file replays from the store
+        hands the pool no task; the scheduler must return, not wait."""
+        apply_batch(chaos_program(2), jobs=1)
         with alarm_after(60):
-            pooled = apply_batch(program, jobs=2)
-        assert [(r.filename, r.status, [d.stage for d in r.diagnostics])
-                for r in pooled.reports] == \
-            [("a.c", STATUS_FAILED, ["preprocess"]),
-             ("b.c", STATUS_FAILED, ["preprocess"])]
+            pooled = apply_batch(chaos_program(2), jobs=2)
+        assert (pooled.info.from_store, pooled.info.workers) == (2, 0)
+        assert [r.status for r in pooled.reports] == [STATUS_OK] * 2
+
+
+class TestPreprocessWholeProcessFaults:
+    """A ``preprocess`` kill or hang is a worker death or timeout like
+    any other stage's: retried, then a ``failed`` report with one
+    ``worker`` diagnostic, while the batch runs on."""
+
+    @pytest.mark.parametrize("kind,diagnostic", [
+        ("kill", KIND_WORKER_DIED), ("hang", KIND_TIMEOUT)])
+    def test_batch_fails_each_file_and_exits(self, monkeypatch, tmp_path,
+                                             kind, diagnostic):
+        monkeypatch.setenv("REPRO_FAULTS", f"preprocess:{kind}:1.0")
+        monkeypatch.setenv("REPRO_FAULT_HANG_S", "0.05")
+        program = chaos_program(3)
+        for name, text in program.files.items():
+            (tmp_path / name).write_text(text)
+        payloads = []
+        with alarm_after(60):
+            for jobs in ("1", "2"):
+                path = tmp_path / f"diagnostics-{jobs}.json"
+                out = tmp_path / f"out-{jobs}"
+                assert main(["batch", str(tmp_path), "-j", jobs,
+                             "--no-run-log", "-o", str(out),
+                             "--diagnostics-json", str(path)]) == 0
+                for name, text in program.files.items():
+                    assert (out / name).read_text() == text
+                payloads.append(json.loads(path.read_text()))
+        for payload in payloads:
+            assert payload["statuses"] == dict.fromkeys(program.files,
+                                                        STATUS_FAILED)
+            assert [(d["filename"], d["stage"], d["kind"])
+                    for d in payload["diagnostics"]] == \
+                [(name, "worker", diagnostic)
+                 for name in sorted(program.files)]
 
 
 class TestCorruptStoreFaults:

@@ -14,7 +14,7 @@ import pytest
 from repro.cfront.cache import clear_all_caches
 from repro.core import backends
 from repro.core import batch as batch_module
-from repro.core.batch import SourceProgram, apply_batch
+from repro.core.batch import FileTask, SourceProgram, apply_batch
 from repro.core.diagnostics import KIND_WORKER_DIED, FileDiagnostic
 from repro.core.runlog import EVENT_DISPATCHED, RunJournal, \
     quarantine_record
@@ -41,11 +41,9 @@ def program(count=4, tag="replay"):
 
 
 def shape(report):
-    """A report without the times the parent stamps on it."""
+    """A report's fields, the times it was recorded with included."""
     return (report.filename, report.final_text, report.parses,
-            report.status, report.wall_time,
-            {stage: seconds for stage, seconds
-             in report.stage_times.items() if stage != "preprocess"},
+            report.status, report.wall_time, report.stage_times,
             [d.as_dict() for d in report.diagnostics],
             report.validation.as_dict() if report.validation else None)
 
@@ -90,7 +88,7 @@ class TestWarmReplay:
         assert computed == []
         assert warm.info.workers == 0
         assert (warm.info.from_store, warm.info.replayed) == (4, 0)
-        # Recorded times stay; the parent's preprocess time is its own.
+        # Recorded times stay, the task's preprocess time among them.
         assert [shape(r) for r in warm.reports] \
             == [shape(r) for r in cold.reports]
         assert all(r.stage_times["preprocess"] > 0 for r in warm.reports)
@@ -116,8 +114,8 @@ class TestWarmReplay:
                                                tmp_path):
         clean = apply_batch(program(2), jobs=1)
         assert [r.status for r in clean.reports] == ["ok", "ok"]
-        poisoned = program(2).preprocess().files["f0.c"]
-        quarantine_record(poisoned, "f0.c", FileDiagnostic(
+        poisoned = FileTask("f0.c", program(2).files["f0.c"])
+        quarantine_record(poisoned, FileDiagnostic(
             "f0.c", "worker", KIND_WORKER_DIED, "died"), "earlier")
         result = apply_batch(program(2), jobs=1,
                              journal=journal(tmp_path, "after"))

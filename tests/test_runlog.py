@@ -528,15 +528,11 @@ class TestQuarantine:
 
     def test_healthy_batch_records_no_quarantine(
             self, fresh_store, tmp_path):
-        from repro.core.session import get_session
-
         program = make_program(2, tag="-healthy")
         result = self._run(program, "q1", str(tmp_path / "runs"))
         assert all(r.status == "ok" for r in result.reports)
-        session = get_session()
         for name, text in program.files.items():
-            pp_text = session.preprocess(text, name).text
-            assert quarantine_lookup(pp_text) is None
+            assert quarantine_lookup(FileTask(name, text)) is None
 
 
 # ------------------------------------------------------------ disk full
@@ -883,5 +879,12 @@ class TestRetryBackoff:
         assert len(draws) > 1
 
     def test_quarantine_key_tracks_content(self):
-        assert quarantine_key("abc") == quarantine_key("abc")
-        assert quarantine_key("abc") != quarantine_key("abd")
+        def key(text, headers=()):
+            return quarantine_key(FileTask("a.c", text, headers))
+
+        assert key("abc") == key("abc")
+        assert key("abc") != key("abd")
+        assert key("abc", (("h.h", "1"),)) != key("abc", (("h.h", "2"),))
+        # Content alone: the same text under another name is the same
+        # poison.
+        assert quarantine_key(FileTask("b.c", "abc")) == key("abc")

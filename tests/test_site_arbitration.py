@@ -138,11 +138,11 @@ class TestJudgeStageAttribution:
         from repro.core import profile
         from repro.core.validate import ValidationReport
 
-        def slow_judge(original, candidate_text, filename, inputs):
+        def slow_judge(original, candidate_text, *, filename, inputs):
             time.sleep(0.05)
             return ValidationReport(filename, [], unchanged=False)
 
-        monkeypatch.setattr(backends_mod, "_judge", slow_judge)
+        monkeypatch.setattr(backends_mod, "validate_pair", slow_judge)
         text = pp(OVERFLOW_SRC)
         with profile.collect("o.c") as times:
             arbitrate_file(text, "o.c", ("slr",))

@@ -367,7 +367,8 @@ class TestBatchIntegration:
             lambda: apply_batch(SourceProgram("xp", {"a.c": src}),
                                 jobs=1, validate=True))
         assert warm.info.from_store == 1
-        assert [delta.disk_hits for delta in deltas] == [1, 0, 0]
+        # Keyed on the source: the replay preprocesses nothing.
+        assert [delta.lookups for delta in deltas] == [0, 0, 0]
         assert warm.reports[0].final_text == cold.reports[0].final_text
         assert warm.reports[0].validation.counts() \
             == cold.reports[0].validation.counts()

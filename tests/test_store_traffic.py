@@ -39,7 +39,7 @@ TRAFFIC = {
         {}),
     "batch --validate again": (
         {},
-        {"preprocess": 4, "report": 4}),
+        {"report": 4}),
     "batch --validate, new seed": (
         {"validate": 4, "report": 4},
         {"preprocess": 4, "verify": 4, "backend": 8}),
@@ -48,7 +48,7 @@ TRAFFIC = {
         {"preprocess": 4, "verify": 4, "validate": 4, "backend": 8}),
     "batch --backends again": (
         {},
-        {"preprocess": 4, "report": 4}),
+        {"report": 4}),
     "batch --backends, new seed": (
         {"report": 4},
         {"preprocess": 4, "verify": 4, "validate": 4, "backend": 12}),

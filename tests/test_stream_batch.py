@@ -21,7 +21,6 @@ from repro.core.batch import (
 )
 from repro.core.report import render_diagnostics
 from repro.core.runlog import RunJournal
-from repro.core.session import AnalysisSession
 
 SYNTAX_ERROR = (Path(__file__).resolve().parents[1] / "examples" / "c"
                 / "bad" / "syntax_error.c").read_text()
@@ -117,26 +116,25 @@ class TestStreamEquivalence:
 
 
 class TestStreamLaziness:
-    def test_first_report_before_batch_is_preprocessed(self,
-                                                       fresh_store):
-        """Pulling one report must not force the whole batch through
-        preprocessing — the incremental pre-warm only runs as far as
-        the dispatch window — and the report carries the parent's
-        preprocess time."""
-        session = AnalysisSession()
-        preprocessed = []
-        preprocess = session.preprocess
+    def test_first_report_before_last_task_is_pulled(self, fresh_store):
+        """Pulling one report must not force the whole batch through the
+        task source — it only runs as far as the dispatch window — and
+        the report carries the preprocess time of its own task."""
+        stream = stream_batch(distinct_program(40), jobs=1, validate=False)
+        pulled = []
+        imap = stream.executor.imap
 
-        def spy(text, filename, *args):
-            preprocessed.append(filename)
-            return preprocess(text, filename, *args)
+        def spy(tasks, **kwargs):
+            def counted():
+                for task in tasks:
+                    pulled.append(task.filename)
+                    yield task
+            return imap(counted(), **kwargs)
 
-        session.preprocess = spy
-        stream = stream_batch(distinct_program(40), jobs=1,
-                              validate=False, session=session)
+        stream.executor.imap = spy
         first = next(iter(stream))
         assert first.filename == "f0000.c"
-        assert preprocessed == ["f0000.c"]
+        assert pulled == ["f0000.c"]
         assert first.stage_times["preprocess"] > 0.0
 
     def test_memory_bounded_thousand_file_batch(self, fresh_store):
@@ -289,8 +287,6 @@ class TestStreamSupervisionAndKnobs:
         from repro.core import faults
         program = distinct_program(6, name="chaos")
         names = sorted(program.files)
-        pp = {name: text for name, text in
-              program.preprocess().files.items()}
         killed = set(faults.faulted_subjects("str", "kill", names))
         assert killed
         reports = list(stream_batch(distinct_program(6, name="chaos"),
@@ -299,6 +295,6 @@ class TestStreamSupervisionAndKnobs:
         for report in reports:
             if report.filename in killed:
                 assert report.status == "failed"
-                assert report.final_text == pp[report.filename]
+                assert report.final_text == program.files[report.filename]
             else:
                 assert report.status == "ok"

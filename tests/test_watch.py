@@ -147,6 +147,33 @@ def test_non_utf8_file_is_an_error_record(tmp_path):
     assert reports["good.c"].mode == "full"
 
 
+@pytest.mark.parametrize("kind", ["kill", "hang"])
+def test_preprocess_whole_process_fault_is_an_error_record(
+        tmp_path, monkeypatch, kind):
+    """An injected ``preprocess`` kill or hang fails the file's task as
+    in a batch: each file gets an ``error`` record, and the loop keeps
+    watching."""
+    monkeypatch.setenv("REPRO_FAULTS", f"preprocess:{kind}:1.0")
+    monkeypatch.setenv("REPRO_FAULT_HANG_S", "0.05")
+    (tmp_path / "a.c").write_text(SRC)
+    (tmp_path / "b.c").write_text(SRC)
+    clock = FakeClock()
+    loop = WatchLoop(str(tmp_path), fuzz_seed=3, debounce_s=0.5,
+                     clock=clock, sleep=lambda s: None, out=io.StringIO())
+    reports = loop.scan_once(force=True)
+    assert [(r.filename, r.mode, r.status, r.validation)
+            for r in reports] == [("a.c", "error", "failed", None),
+                                  ("b.c", "error", "failed", None)]
+    assert all(r.final_text == SRC for r in reports)
+    monkeypatch.delenv("REPRO_FAULTS")
+    touch(tmp_path / "a.c", 2000.0)
+    assert loop.scan_once() == []
+    clock.now += 1.0
+    [update] = loop.scan_once()
+    assert (update.filename, update.mode, update.status) == \
+        ("a.c", "full", "ok")
+
+
 def test_json_output_streams_records(tmp_path):
     loop, _path, _clock, out = make_loop(tmp_path, json_output=True)
     loop.scan_once(force=True)

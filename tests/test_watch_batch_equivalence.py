@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.cfront.funcdiff import segment_file
+from repro.cli import main
 from repro.core.batch import SourceProgram, apply_batch, load_program
 from repro.core.incremental import IncrementalEngine
 from repro.core.session import get_session
@@ -226,3 +227,25 @@ def test_engines_over_two_header_sets_both_go_incremental(monkeypatch):
         cold = apply_batch(SourceProgram("p", {"f.c": edited}, headers))
         assert update.final_text == cold.reports[0].final_text
         assert f"char buf[{value}]" in update.final_text
+
+
+def test_batch_after_watch_replays_every_file(header_dir, fresh_store,  # noqa: F811
+                                              tmp_path, capsys):
+    """The engine's full path hands ``transform_file`` the task a plain
+    batch builds (source, headers, settings), so the report it stores is
+    the one a later ``repro batch`` without ``--validate`` looks up: the
+    batch starts no worker and writes the watch's final texts."""
+    (header_dir / "g.c").write_text(
+        '#include <string.h>\n#include "f.h"\n'
+        "void g(const char *s) {\n    char b[NAME_LEN];\n"
+        "    strcpy(b, s);\n}\n")
+    updates = make_loop(header_dir).scan_once(force=True)
+    assert [(u.filename, u.mode, u.status) for u in updates] \
+        == [("f.c", "full", "ok"), ("g.c", "full", "ok")]
+    out = tmp_path / "out"
+    assert main(["batch", str(header_dir), "-o", str(out),
+                 "--no-run-log"]) == 0
+    assert "2/2 file(s) served from the artifact store; 0 pool " \
+        "worker(s) started" in capsys.readouterr().err
+    for update in updates:
+        assert (out / update.filename).read_text() == update.final_text
